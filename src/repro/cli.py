@@ -18,7 +18,6 @@ Examples::
     spright-repro cluster --nodes 3 --placement all
     spright-repro cluster --planes s-spright lambda-nic --sanitize
     spright-repro cloning --duration 20   # PS cloning lab: oracle + plane sweep
-    spright-repro bench             # throughput trajectory vs last BENCH_*.json
     spright-repro all               # everything, at smoke-test scale
 
 ``run`` executes a declarative scenario file (byte-identical stdout to
@@ -181,27 +180,6 @@ def _cmd_cloning(args) -> str:
     return cloning_exp.run_config({"duration": args.duration or 20.0})
 
 
-def _cmd_bench(args) -> str:
-    import json
-    from pathlib import Path
-
-    from . import bench
-
-    payload = bench.run_bench(duration=args.duration or 0.8)
-    directory = Path(args.bench_dir)
-    previous_path = bench.find_previous(directory, payload["pr"])
-    comparison = None
-    if previous_path is not None:
-        comparison = bench.compare(
-            payload,
-            json.loads(previous_path.read_text()),
-            tolerance=args.tolerance,
-        )
-    path = bench.write_trajectory(payload, directory)
-    report = bench.format_report(payload, comparison)
-    return report + f"\n\ntrajectory written: {path}"
-
-
 def _cmd_all(args) -> str:
     sections = [
         _cmd_tables(args),
@@ -230,7 +208,6 @@ COMMANDS = {
     "traffic": _cmd_traffic,
     "cluster": _cmd_cluster,
     "cloning": _cmd_cloning,
-    "bench": _cmd_bench,
     "all": _cmd_all,
 }
 
@@ -515,19 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=str,
         default=None,
         help="also write the report (and a JSON copy) under this directory",
-    )
-    parser.add_argument(
-        "--bench-dir",
-        type=str,
-        default=".",
-        help="bench: directory holding BENCH_<n>.json trajectory files",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.15,
-        help="bench: allowed fractional throughput drop vs the previous "
-        "trajectory point before the gate reports FAILED",
     )
     parser.add_argument(
         "--sanitize",

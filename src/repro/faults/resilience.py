@@ -284,8 +284,6 @@ class CircuitBreaker:
         self.generation = 0
         self.probes_admitted = 0
         self._probe_inflight = False
-        # FIFO of permits handed out through the legacy allow() wrapper.
-        self._implicit: list[BreakerPermit] = []
 
     def state(self) -> str:
         if self.opened_at is None:
@@ -294,7 +292,7 @@ class CircuitBreaker:
             return "open"
         return "half_open"
 
-    # -- permit API (what the controller uses) --------------------------------
+    # -- permit API ---------------------------------------------------------------
     def acquire(self) -> Optional[BreakerPermit]:
         """Admit one attempt, or return None when the breaker refuses it."""
         if self.threshold <= 0 or self.opened_at is None:
@@ -332,25 +330,6 @@ class CircuitBreaker:
                 self.trips += 1
                 self.generation += 1
             self.opened_at = self.env.now
-
-    # -- legacy wrappers (sequential call sites and existing tests) ------------
-    def allow(self) -> bool:
-        permit = self.acquire()
-        if permit is None:
-            return False
-        self._implicit.append(permit)
-        return True
-
-    def record_success(self) -> None:
-        self.on_success(self._pop_implicit())
-
-    def record_failure(self) -> None:
-        self.on_failure(self._pop_implicit())
-
-    def _pop_implicit(self) -> BreakerPermit:
-        if self._implicit:
-            return self._implicit.pop(0)
-        return BreakerPermit(self.generation, probe=False)
 
 
 class _Attempt:

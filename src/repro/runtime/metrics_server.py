@@ -3,11 +3,10 @@
 Queue proxies (Knative) and the SPRIGHT gateway's metrics agent (reading the
 EPROXY/SPROXY eBPF metric maps) both push :class:`PodMetrics` here.
 
-With a :class:`repro.obs.MetricsRegistry` attached, the autoscaling signals
-live as named gauges (``autoscale/<fn>/request_rate`` etc.) in the unified
-observability registry — one source of truth that also renders through the
-OpenMetrics exporter. Without one (legacy construction), the server keeps
-its private latest-sample dict; both modes answer every query identically.
+The autoscaling signals live as named gauges (``autoscale/<fn>/request_rate``
+etc.) in a :class:`repro.obs.MetricsRegistry` — one source of truth that also
+renders through the OpenMetrics exporter. Experiments pass their node's
+registry; a server built without one keeps a private registry.
 """
 
 from __future__ import annotations
@@ -15,6 +14,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
+
+from ..obs import MetricsRegistry
 
 
 @dataclass
@@ -31,50 +32,43 @@ class PodMetrics:
 class MetricsServer:
     """Latest-sample store, keyed by function name.
 
-    ``registry``: an optional :class:`repro.obs.MetricsRegistry`; when given,
-    the latest sample per function is stored as ``autoscale/*`` gauges there
-    instead of a private dict (the fallback shim for legacy callers).
+    ``registry``: the :class:`repro.obs.MetricsRegistry` holding the latest
+    sample per function as ``autoscale/*`` gauges (a fresh private one when
+    omitted).
     """
 
     def __init__(
-        self, staleness_limit: float = 30.0, registry: Optional[object] = None
+        self,
+        staleness_limit: float = 30.0,
+        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.staleness_limit = staleness_limit
-        self.registry = registry
-        self._latest: dict[str, PodMetrics] = {}
+        self.registry = registry or MetricsRegistry()
         self._seen: set[str] = set()
         self._history: dict[str, list[PodMetrics]] = defaultdict(list)
         self.reports_received = 0
 
     def report(self, sample: PodMetrics) -> None:
         self.reports_received += 1
-        if self.registry is not None:
-            prefix = f"autoscale/{sample.function}"
-            self.registry.gauge(f"{prefix}/request_rate").set(sample.request_rate)
-            self.registry.gauge(f"{prefix}/concurrency").set(sample.concurrency)
-            self.registry.gauge(f"{prefix}/response_time").set(sample.response_time)
-            self.registry.gauge(f"{prefix}/timestamp").set(sample.timestamp)
-            self._seen.add(sample.function)
-        else:
-            self._latest[sample.function] = sample
+        prefix = f"autoscale/{sample.function}"
+        self.registry.gauge(f"{prefix}/request_rate").set(sample.request_rate)
+        self.registry.gauge(f"{prefix}/concurrency").set(sample.concurrency)
+        self.registry.gauge(f"{prefix}/response_time").set(sample.response_time)
+        self.registry.gauge(f"{prefix}/timestamp").set(sample.timestamp)
+        self._seen.add(sample.function)
         self._history[sample.function].append(sample)
 
     def latest(self, function: str, now: Optional[float] = None) -> Optional[PodMetrics]:
-        if self.registry is not None:
-            if function not in self._seen:
-                return None
-            prefix = f"autoscale/{function}"
-            sample = PodMetrics(
-                function=function,
-                timestamp=self.registry.gauge(f"{prefix}/timestamp").value,
-                request_rate=self.registry.gauge(f"{prefix}/request_rate").value,
-                concurrency=int(self.registry.gauge(f"{prefix}/concurrency").value),
-                response_time=self.registry.gauge(f"{prefix}/response_time").value,
-            )
-        else:
-            sample = self._latest.get(function)
-            if sample is None:
-                return None
+        if function not in self._seen:
+            return None
+        prefix = f"autoscale/{function}"
+        sample = PodMetrics(
+            function=function,
+            timestamp=self.registry.gauge(f"{prefix}/timestamp").value,
+            request_rate=self.registry.gauge(f"{prefix}/request_rate").value,
+            concurrency=int(self.registry.gauge(f"{prefix}/concurrency").value),
+            response_time=self.registry.gauge(f"{prefix}/response_time").value,
+        )
         if now is not None and now - sample.timestamp > self.staleness_limit:
             return None
         return sample
@@ -124,6 +118,4 @@ class MetricsServer:
         return list(self._history[function])
 
     def functions(self) -> list[str]:
-        if self.registry is not None:
-            return sorted(self._seen)
-        return sorted(self._latest)
+        return sorted(self._seen)

@@ -207,17 +207,16 @@ def test_policy_inert_by_default():
 def test_circuit_breaker_trips_and_half_opens():
     node = WorkerNode()
     breaker = CircuitBreaker(node.env, threshold=2, reset_after=1.0)
-    assert breaker.allow()
-    breaker.record_failure()
-    assert breaker.allow()
-    breaker.record_failure()  # trips
+    breaker.on_failure(breaker.acquire())
+    breaker.on_failure(breaker.acquire())  # trips
     assert breaker.trips == 1
-    assert not breaker.allow()
+    assert breaker.acquire() is None
     node.env._now = 2.0  # past the cooldown
-    assert breaker.allow()  # the single half-open probe
-    assert not breaker.allow()  # second caller fenced out
-    breaker.record_success()
-    assert breaker.allow()
+    probe = breaker.acquire()  # the single half-open probe
+    assert probe is not None and probe.probe
+    assert breaker.acquire() is None  # second caller fenced out
+    breaker.on_success(probe)
+    assert breaker.acquire() is not None
 
 
 def test_half_open_admits_exactly_one_probe_under_concurrency():

@@ -1,4 +1,4 @@
-"""Registry-backed MetricsServer: equivalence with the legacy dict mode."""
+"""Registry-backed MetricsServer: latest samples live as autoscale gauges."""
 
 from repro.obs import MetricsRegistry
 from repro.runtime import MetricsServer, PodMetrics
@@ -11,49 +11,43 @@ SAMPLES = [
 ]
 
 
-def both_servers():
-    legacy = MetricsServer()
-    registry_backed = MetricsServer(registry=MetricsRegistry())
-    for server in (legacy, registry_backed):
-        for sample in SAMPLES:
-            server.report(sample)
-    return legacy, registry_backed
+def reported_server():
+    server = MetricsServer()
+    for sample in SAMPLES:
+        server.report(sample)
+    return server
 
 
 def test_latest_equivalent_in_both_modes():
-    legacy, backed = both_servers()
-    for function in ("fn-a", "fn-b"):
-        assert legacy.latest(function) == backed.latest(function)
-    assert backed.latest("fn-a").request_rate == 12.0
-    assert backed.latest("fn-a").concurrency == 6
-    assert isinstance(backed.latest("fn-a").concurrency, int)
-    assert backed.latest("unknown") is None
-    assert legacy.latest("unknown") is None
+    server = reported_server()
+    assert server.latest("fn-a") == SAMPLES[2]
+    assert server.latest("fn-b") == SAMPLES[1]
+    assert isinstance(server.latest("fn-a").concurrency, int)
+    assert server.latest("unknown") is None
 
 
 def test_query_helpers_equivalent():
-    legacy, backed = both_servers()
-    for function in ("fn-a", "fn-b", "unknown"):
-        assert legacy.request_rate(function) == backed.request_rate(function)
-        assert legacy.concurrency(function) == backed.concurrency(function)
-    assert legacy.functions() == backed.functions() == ["fn-a", "fn-b"]
-    assert legacy.reports_received == backed.reports_received == len(SAMPLES)
+    server = reported_server()
+    assert server.request_rate("fn-a") == 12.0
+    assert server.concurrency("fn-a") == 6
+    assert server.request_rate("unknown") == 0.0
+    assert server.concurrency("unknown") == 0
+    assert server.functions() == ["fn-a", "fn-b"]
+    assert server.reports_received == len(SAMPLES)
 
 
 def test_staleness_limit_applies_in_both_modes():
-    legacy, backed = both_servers()
+    server = reported_server()
     late = 6.0 + 31.0  # past the default 30 s staleness limit
-    for server in (legacy, backed):
-        assert server.latest("fn-a", now=late) is None
-        assert server.request_rate("fn-a", now=late) == 0.0
-        assert server.concurrency("fn-a", now=late) == 0
-        assert server.latest("fn-a", now=10.0) is not None
+    assert server.latest("fn-a", now=late) is None
+    assert server.request_rate("fn-a", now=late) == 0.0
+    assert server.concurrency("fn-a", now=late) == 0
+    assert server.latest("fn-a", now=10.0) is not None
 
 
 def test_history_kept_in_both_modes():
-    legacy, backed = both_servers()
-    assert legacy.history("fn-a") == backed.history("fn-a")
-    assert len(backed.history("fn-a")) == 2
+    server = reported_server()
+    assert server.history("fn-a") == [SAMPLES[0], SAMPLES[2]]
 
 
 def test_registry_mode_exposes_autoscale_gauges():
@@ -99,18 +93,16 @@ def test_autoscaler_reads_registry_backed_signals():
 
 
 def test_snapshot_lists_stale_functions_in_both_modes():
-    legacy, backed = both_servers()
-    for server in (legacy, backed):
-        snapshot = server.snapshot(now=6.0 + 31.0)  # fn-a stale, fn-b staler
-        assert snapshot["schema"] == "spright.autoscale/1"
-        assert snapshot["reports_received"] == len(SAMPLES)
-        rows = {row["function"]: row for row in snapshot["functions"]}
-        assert set(rows) == {"fn-a", "fn-b"}
-        # latest() hides stale functions; snapshot() shows them flagged.
-        assert rows["fn-a"]["stale"] and rows["fn-b"]["stale"]
-        assert rows["fn-a"]["request_rate"] == 12.0
-        fresh = server.snapshot(now=10.0)
-        assert not any(row["stale"] for row in fresh["functions"])
-        # Without a clock, staleness is unjudged (never flagged).
-        assert not any(row["stale"] for row in server.snapshot()["functions"])
-    assert legacy.snapshot(now=10.0) == backed.snapshot(now=10.0)
+    server = reported_server()
+    snapshot = server.snapshot(now=6.0 + 31.0)  # fn-a stale, fn-b staler
+    assert snapshot["schema"] == "spright.autoscale/1"
+    assert snapshot["reports_received"] == len(SAMPLES)
+    rows = {row["function"]: row for row in snapshot["functions"]}
+    assert set(rows) == {"fn-a", "fn-b"}
+    # latest() hides stale functions; snapshot() shows them flagged.
+    assert rows["fn-a"]["stale"] and rows["fn-b"]["stale"]
+    assert rows["fn-a"]["request_rate"] == 12.0
+    fresh = server.snapshot(now=10.0)
+    assert not any(row["stale"] for row in fresh["functions"])
+    # Without a clock, staleness is unjudged (never flagged).
+    assert not any(row["stale"] for row in server.snapshot()["functions"])

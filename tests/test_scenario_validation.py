@@ -176,7 +176,7 @@ def test_conflicting_overrides(assignments, needle):
 def test_experiment_names_match_cli_commands():
     from repro.cli import COMMANDS
 
-    assert set(EXPERIMENT_NAMES) == set(COMMANDS) - {"bench", "all"}
+    assert set(EXPERIMENT_NAMES) == set(COMMANDS) - {"all"}
     assert set(EXPERIMENT_NAMES) == set(EXPERIMENT_SPECS)
 
 
