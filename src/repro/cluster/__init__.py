@@ -20,6 +20,8 @@ from .scheduler import (
     POLICIES,
     ClusterScheduler,
     FunctionPlacement,
+    NodeDescriptor,
+    PlacementError,
     function_core_request,
     function_memory_request,
 )
@@ -31,7 +33,9 @@ __all__ = [
     "ClusterScheduler",
     "FunctionPlacement",
     "LinkSpec",
+    "NodeDescriptor",
     "PLANE_TAGS",
+    "PlacementError",
     "POLICIES",
     "SHM_PLANES",
     "build_cluster",

@@ -16,18 +16,21 @@ On the ``lambda-nic`` plane each node hosting functions gets a
 functions execute on their node's NIC cores (a cross-node transfer into an
 offloaded function terminates at the receiving NIC — no host rx cost at
 all), and everything else falls back to host pods on the S-SPRIGHT path.
+
+:class:`ClusterDataplane` is a :class:`~repro.dataplane.Dataplane` rooted at
+the ingress node: it inherits ``submit``, ``deliver_once``, resilience and
+admission unchanged, and overrides only pod selection and the per-hop walk.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..dataplane import ProxyComponent, Request
+from ..dataplane import Dataplane, ProxyComponent, Request
 from ..dataplane.legs import external_arrival, leg_kernel, leg_localhost
 from ..dataplane.spright import NicComputeEngine, NicComputeModel, SpinCharger
 from ..mem import PoolSanitizer, SharedMemoryManager, default_sanitize
-from ..runtime import ChainSpec, Kubelet, WorkerNode
-from ..simcore import DeliveryError
+from ..runtime import ChainSpec, Deployment, Kubelet, Pod, WorkerNode
 from .fabric import ClusterFabric
 from .scheduler import FunctionPlacement
 
@@ -43,7 +46,7 @@ PLANE_TAGS = {
 SHM_PLANES = ("s-spright", "d-spright", "lambda-nic")
 
 
-class ClusterDataplane:
+class ClusterDataplane(Dataplane):
     """Executes one chain over the fabric according to a placement."""
 
     def __init__(
@@ -95,7 +98,6 @@ class ClusterDataplane:
         # there, a private shm pool (SPRIGHT planes), NIC engines (λ-NIC),
         # poll-core spinners (D-SPRIGHT).
         self._kubelets: dict[str, Kubelet] = {}
-        self.deployments: dict[str, object] = {}
         self._pools: dict[str, object] = {}
         self._managers: dict[str, SharedMemoryManager] = {}
         self.engines: dict[str, NicComputeEngine] = {}
@@ -123,13 +125,21 @@ class ClusterDataplane:
                 if engine is None:
                     engine = NicComputeEngine(node, nic_model)
                 self.engines[node.name] = engine
+        Dataplane.__init__(
+            self,
+            self.ingress_node,
+            list(chain.functions),
+            kubelet=self._kubelets[self.ingress_node.name],
+        )
         for spec in chain.functions:
             node = fabric.nodes[placement.node_of(spec.name)]
             deployment = self._kubelets[node.name].deployment(
-                spec, f"{self.plane}/fn/{spec.name}"
+                spec, self.fn_tag(spec.name)
             )
             deployment.ensure_scale(max(1, spec.min_scale))
             self.deployments[spec.name] = deployment
+            # Pod faults armed on a node find the functions placed there.
+            node.faults.register_deployment(spec.name, deployment)
             if plane == "d-spright":
                 for pod in deployment.servable_pods():
                     self._spinners.append(SpinCharger(node, pod.cpu_tag, cores=1.0))
@@ -137,8 +147,8 @@ class ClusterDataplane:
             self._spinners.append(
                 SpinCharger(self.ingress_node, self.gateway.tag, cores=gateway_cores)
             )
+        self._deployed = True
 
-        self.requests_completed = 0
         self.xnode_hops = 0
         self.offloaded = 0
         self.host_serves = 0
@@ -174,31 +184,13 @@ class ClusterDataplane:
             manager.teardown()
 
     # -- request path --------------------------------------------------------
-    def submit(self, request: Request):
-        """Generator: run one request end to end (mirrors Dataplane.submit)."""
-        env = self.ingress_node.env
-        obs = self.ingress_node.obs
-        tracer = obs.tracer if obs is not None else None
-        if tracer is not None and request.span is None:
-            tracer.start_request(
-                request,
-                f"{self.plane}:{request.request_class.name}",
-                plane=self.plane,
-                request_class=request.request_class.name,
-                bytes=len(request.payload),
-            )
-        try:
-            yield from self.handle_request(request)
-        except DeliveryError as error:
-            request.failed = True
-            request.error = error
-            self.ingress_node.counters.incr(f"faults/failed/{error.kind}")
-        request.completed_at = env.now
-        if tracer is not None and request.span is not None:
-            tracer.finish_request(request, failed=request.failed)
-        if not request.failed:
-            self.requests_completed += 1
-        return request
+    def select_pod(
+        self, deployment: Deployment, exclude: Optional[set] = None
+    ) -> Optional[Pod]:
+        """SPRIGHT planes pick by residual capacity, the baselines round robin."""
+        if self.shm:
+            return deployment.pick_residual_capacity(exclude)
+        return deployment.pick_round_robin(exclude)
 
     def handle_request(self, request: Request):
         env = self.ingress_node.env
@@ -280,7 +272,7 @@ class ClusterDataplane:
                         at_nic = False
                     if self.shm and handle is None:
                         handle, handle_node = self._pool_alloc(current, payload)
-                    pod = yield from self._acquire_pod(name)
+                    pod = yield from self.acquire_pod(name, request.claimed_pods)
                     result = yield from pod.serve(payload)
                     self.host_serves += 1
                     if handle is not None:
@@ -376,19 +368,3 @@ class ClusterDataplane:
             yield ops.compute(costs.sockmap_redirect)
             yield ops.context_switch(None, None)
         request.span_end(span)
-
-    def _acquire_pod(self, function: str):
-        deployment = self.deployments[function]
-        pick = (
-            deployment.pick_residual_capacity
-            if self.shm
-            else deployment.pick_round_robin
-        )
-        pod = pick()
-        while pod is None:
-            if not deployment.live_pods():
-                deployment.scale_to(1)
-                deployment.note_cold_start()
-            yield deployment.any_servable_event()
-            pod = pick()
-        return pod

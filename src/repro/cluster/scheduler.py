@@ -1,11 +1,12 @@
 """Function-granularity placement across cluster nodes.
 
-`runtime/scheduler.py` places whole chains (the paper's §3.8 chain-affinity
-constraint); this module relaxes that: individual chain *functions* land on
-nodes under CPU/memory constraints, and the placement policy decides how
-much of the chain stays colocated — which is exactly what the cluster
-experiment measures, because every node boundary a SPRIGHT chain crosses
-turns a shared-memory descriptor hop into a serialized wire transfer.
+The paper's §3.8 keeps every function of a chain on one node so they can
+share the chain's memory pool; this module relaxes that constraint:
+individual chain *functions* land on nodes under CPU/memory constraints,
+and the placement policy decides how much of the chain stays colocated —
+which is exactly what the cluster experiment measures, because every node
+boundary a SPRIGHT chain crosses turns a shared-memory descriptor hop into
+a serialized wire transfer.
 
 Policies (all deterministic functions of the topology and chain — no RNG):
 
@@ -22,16 +23,68 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ..runtime import ChainSpec, FunctionSpec
-from ..runtime.scheduler import (
-    NodeDescriptor,
-    PlacementError,
-    placement_diagnostics,
-)
 
 POLICIES = ("bin_pack", "spread", "chain_locality")
+
+
+class PlacementError(Exception):
+    """No node can host the function.
+
+    ``diagnostics`` carries the machine-readable residual report: what was
+    requested, and — per candidate node — what was free and by how much the
+    request overshot it, so operators (and tests) can see *why* placement
+    failed instead of just that it did.
+    """
+
+    def __init__(self, message: str, diagnostics: Optional[dict] = None) -> None:
+        super().__init__(message)
+        self.diagnostics: dict = diagnostics or {}
+
+
+@dataclass
+class NodeDescriptor:
+    """Scheduler's view of a node: capacity and current commitments."""
+
+    name: str
+    cores: int = 40
+    memory_mb: float = 192 * 1024
+    committed_cores: float = 0.0
+    committed_memory_mb: float = 0.0
+
+    @property
+    def free_cores(self) -> float:
+        return self.cores - self.committed_cores
+
+    @property
+    def free_memory_mb(self) -> float:
+        return self.memory_mb - self.committed_memory_mb
+
+
+def placement_diagnostics(
+    subject: str,
+    cores: float,
+    memory_mb: float,
+    nodes: Iterable[NodeDescriptor],
+) -> dict:
+    """Per-node residuals + shortfalls for a failed placement request."""
+    return {
+        "subject": subject,
+        "cores_requested": cores,
+        "memory_mb_requested": memory_mb,
+        "candidates": [
+            {
+                "node": node.name,
+                "free_cores": node.free_cores,
+                "free_memory_mb": node.free_memory_mb,
+                "core_shortfall": max(0.0, cores - node.free_cores),
+                "memory_shortfall_mb": max(0.0, memory_mb - node.free_memory_mb),
+            }
+            for node in nodes
+        ],
+    }
 
 
 def function_core_request(spec: FunctionSpec) -> float:
@@ -125,15 +178,10 @@ class ClusterScheduler:
         )
 
     def _commit(
-        self,
-        node: NodeDescriptor,
-        chain: ChainSpec,
-        spec: FunctionSpec,
-        placement: FunctionPlacement,
+        self, node: NodeDescriptor, spec: FunctionSpec, placement: FunctionPlacement
     ) -> None:
         node.committed_cores += function_core_request(spec)
         node.committed_memory_mb += function_memory_request(spec)
-        node.chains.append(f"{chain.name}/{spec.name}")
         placement.assignments[spec.name] = node.name
 
     def _no_fit(self, chain: ChainSpec, spec: FunctionSpec) -> PlacementError:
@@ -166,7 +214,7 @@ class ClusterScheduler:
                 candidates,
                 key=lambda n: (n.free_cores - function_core_request(spec), n.name),
             )
-            self._commit(best, chain, spec, placement)
+            self._commit(best, spec, placement)
 
     def _place_spread(
         self, chain: ChainSpec, placement: FunctionPlacement
@@ -176,7 +224,7 @@ class ClusterScheduler:
             if not candidates:
                 raise self._no_fit(chain, spec)
             best = max(candidates, key=lambda n: (n.free_cores, n.name))
-            self._commit(best, chain, spec, placement)
+            self._commit(best, spec, placement)
 
     def _place_chain_locality(
         self, chain: ChainSpec, placement: FunctionPlacement
@@ -184,7 +232,7 @@ class ClusterScheduler:
         current: Optional[NodeDescriptor] = None
         for spec in chain.functions:
             if current is not None and self._fits(current, spec):
-                self._commit(current, chain, spec, placement)
+                self._commit(current, spec, placement)
                 continue
             others = [
                 n
@@ -195,4 +243,4 @@ class ClusterScheduler:
                 raise self._no_fit(chain, spec)
             # Roomiest other node: the next same-node segment can run long.
             current = max(others, key=lambda n: (n.free_cores, n.name))
-            self._commit(current, chain, spec, placement)
+            self._commit(current, spec, placement)

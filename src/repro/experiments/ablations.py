@@ -134,7 +134,6 @@ def run_hugepage_ablation(payloads: tuple[int, ...] = (256, 4096)) -> dict:
 
 def run_lb_ablation(duration: float = 2.0) -> dict:
     """Residual-capacity LB vs round robin with heterogeneous pod load."""
-    from ..runtime import WorkerNode
     from ..stats import LatencyRecorder
     from ..workloads import ClosedLoopGenerator, WeightedMix
     from .common import build_plane, make_node
@@ -151,7 +150,9 @@ def run_lb_ablation(duration: float = 2.0) -> dict:
         plane = build_plane("s-spright", node, functions)
         if policy == "round_robin":
             plane.runtime.routing.pick_instance = (  # type: ignore[method-assign]
-                lambda fn, _d=plane.deployments["fn-1"]: _d.pick_round_robin()
+                lambda fn, claimed=None, _d=plane.deployments["fn-1"]: (
+                    _d.pick_round_robin(claimed)
+                )
             )
         recorder = LatencyRecorder()
         generator = ClosedLoopGenerator(

@@ -16,7 +16,8 @@ Two questions, one sweep:
    the budget-fallback residue. The mixed chain (with a 200 µs heavy
    function the NIC refuses) shows the host fallback engaging.
 
-The report ends with computed verdict lines CI greps for.
+The report ends with computed verdict lines; CI diffs the whole sanitized
+3-node report against ``tests/goldens/cluster-smoke.txt``.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ from ..cluster import (
     POLICIES,
     ClusterDataplane,
     ClusterScheduler,
+    NodeDescriptor,
     build_cluster,
 )
 from ..dataplane import RequestClass
 from ..runtime import ChainSpec, FunctionSpec
-from ..runtime.scheduler import NodeDescriptor
 from ..stats import LatencyRecorder, format_table
 from ..workloads import ClosedLoopGenerator, WeightedMix
 
@@ -119,6 +120,28 @@ class ClusterRun:
         return self.dataplane.leaked_slots()
 
 
+def build_cluster_plane(
+    plane: str,
+    policy: str,
+    nodes: int,
+    seed: int = 2022,
+    chain_factory=mixed_chain,
+    capacity: Optional[float] = None,
+    sanitize: Optional[bool] = None,
+) -> ClusterDataplane:
+    """Build a cluster, place the chain under ``policy``, wire the plane."""
+    chain = chain_factory()
+    fabric = build_cluster(nodes, seed=seed, cores=8)
+    scheduler = ClusterScheduler(
+        [
+            NodeDescriptor(name=name, cores=capacity or scheduler_capacity(nodes))
+            for name in fabric.nodes
+        ]
+    )
+    placement = scheduler.place(chain, policy)
+    return ClusterDataplane(fabric, chain, plane, placement, sanitize=sanitize)
+
+
 def run_cluster_case(
     plane: str,
     policy: str,
@@ -136,20 +159,12 @@ def run_cluster_case(
     The post-duration ``drain`` lets in-flight requests finish so the
     leaked-slot count reflects real leaks, not requests cut off mid-chain.
     """
-    chain = chain_factory()
-    fabric = build_cluster(nodes, seed=seed, cores=8)
-    scheduler = ClusterScheduler(
-        [
-            NodeDescriptor(name=name, cores=capacity or scheduler_capacity(nodes))
-            for name in fabric.nodes
-        ]
+    dataplane = build_cluster_plane(
+        plane, policy, nodes, seed, chain_factory, capacity, sanitize
     )
-    placement = scheduler.place(chain, policy)
-    dataplane = ClusterDataplane(
-        fabric, chain, plane, placement, sanitize=sanitize
-    )
+    env = dataplane.fabric.env
     recorder = LatencyRecorder()
-    request_class = RequestClass("seq", sequence=chain.function_names)
+    request_class = RequestClass("seq", sequence=dataplane.chain.function_names)
     generator = ClosedLoopGenerator(
         dataplane.ingress_node,
         dataplane,
@@ -160,8 +175,8 @@ def run_cluster_case(
         client_overhead=0.0007,
     )
     generator.start()
-    fabric.env.run(until=duration)
-    fabric.env.run(until=duration + drain)
+    env.run(until=duration)
+    env.run(until=duration + drain)
     run = ClusterRun(
         plane=plane,
         policy=policy,
@@ -169,7 +184,7 @@ def run_cluster_case(
         duration=duration,
         recorder=recorder,
         dataplane=dataplane,
-        extras={"placement": placement, "generator": generator},
+        extras={"placement": dataplane.placement, "generator": generator},
     )
     dataplane.teardown()
     return run

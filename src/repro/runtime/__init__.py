@@ -1,14 +1,6 @@
-"""Orchestration substrate: node, specs, pods, kubelet, autoscaler, placement."""
+"""Orchestration substrate: node, specs, pods, kubelet, autoscaler, health."""
 
 from .autoscaler import Autoscaler, AutoscalerPolicy
-from .cluster import (
-    ChainUnit,
-    Cluster,
-    ClusterError,
-    ClusterIngress,
-    CROSS_NODE_LATENCY,
-    fragmentation_report,
-)
 from .health import (
     HealthProber,
     ProbeKind,
@@ -20,14 +12,6 @@ from .kubelet import Deployment, Kubelet, desired_scale_for_concurrency
 from .metrics_server import MetricsServer, PodMetrics
 from .node import WorkerNode
 from .pod import Pod, PodPhase
-from .scheduler import (
-    NodeDescriptor,
-    PlacementEngine,
-    PlacementError,
-    chain_core_request,
-    chain_memory_request,
-    placement_diagnostics,
-)
 from .spec import (
     ChainSpec,
     DEFAULT_TOPIC,
@@ -42,18 +26,12 @@ from .spec import (
 __all__ = [
     "Autoscaler",
     "AutoscalerPolicy",
-    "CROSS_NODE_LATENCY",
     "ChainSpec",
-    "ChainUnit",
-    "Cluster",
-    "ClusterError",
-    "ClusterIngress",
     "HealthProber",
     "ProbeKind",
     "ProbePolicy",
     "VerticalPodScaler",
     "VerticalScalePolicy",
-    "fragmentation_report",
     "DEFAULT_TOPIC",
     "Deployment",
     "ENTRY",
@@ -61,17 +39,11 @@ __all__ = [
     "FunctionSpec",
     "Kubelet",
     "MetricsServer",
-    "NodeDescriptor",
-    "PlacementEngine",
-    "PlacementError",
     "Pod",
     "PodMetrics",
     "PodPhase",
     "RESPONSE",
     "WorkerNode",
-    "chain_core_request",
-    "chain_memory_request",
-    "placement_diagnostics",
     "desired_scale_for_concurrency",
     "echo_behavior",
     "sequential_chain",

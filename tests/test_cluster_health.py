@@ -1,13 +1,7 @@
-"""Tests for multi-node clusters, health probing, and vertical scaling."""
-
-import pytest
+"""Tests for health probing and vertical scaling."""
 
 from repro.dataplane import SSprightDataplane
-from repro.dataplane.base import Request, RequestClass
 from repro.runtime import (
-    Cluster,
-    ClusterError,
-    ClusterIngress,
     FunctionSpec,
     HealthProber,
     Kubelet,
@@ -15,139 +9,7 @@ from repro.runtime import (
     VerticalPodScaler,
     VerticalScalePolicy,
     WorkerNode,
-    fragmentation_report,
-    sequential_chain,
 )
-
-
-def chain_spec():
-    return sequential_chain(
-        "pipeline",
-        [
-            FunctionSpec(name="fn-1", service_time=10e-6),
-            FunctionSpec(name="fn-2", service_time=10e-6),
-        ],
-    )
-
-
-def plane_factory(node):
-    counter = getattr(plane_factory, "_counter", 0)
-    plane_factory._counter = counter + 1
-    return SSprightDataplane(
-        node,
-        [
-            FunctionSpec(name="fn-1", service_time=10e-6),
-            FunctionSpec(name="fn-2", service_time=10e-6),
-        ],
-        chain_name=f"pipeline-{node.name}-{counter}",
-    )
-
-
-# -- cluster --------------------------------------------------------------------
-
-def test_cluster_nodes_share_one_clock():
-    cluster = Cluster(node_count=3)
-    assert len(cluster.nodes) == 3
-    assert all(node.env is cluster.env for node in cluster.nodes)
-    assert len({node.name for node in cluster.nodes}) == 3
-
-
-def test_cluster_requires_nodes():
-    with pytest.raises(ClusterError):
-        Cluster(node_count=0)
-
-
-def test_chain_units_placed_one_per_node():
-    cluster = Cluster(node_count=2)
-    ingress = ClusterIngress(cluster)
-    units = ingress.deploy_chain_units(chain_spec(), plane_factory)
-    assert len(units) == 2
-    assert {unit.node.name for unit in units} == {"worker-1", "worker-2"}
-    report = fragmentation_report(cluster)
-    assert report["chains_per_node"] == {"worker-1": 1, "worker-2": 1}
-
-
-def test_too_many_replicas_rejected():
-    cluster = Cluster(node_count=1)
-    ingress = ClusterIngress(cluster)
-    with pytest.raises(ClusterError, match="replicas"):
-        ingress.deploy_chain_units(chain_spec(), plane_factory, replicas=2)
-
-
-def test_ingress_balances_across_units():
-    cluster = Cluster(node_count=2)
-    ingress = ClusterIngress(cluster, policy="least_loaded")
-    ingress.deploy_chain_units(chain_spec(), plane_factory)
-    request_class = RequestClass(name="t", sequence=["fn-1", "fn-2"], payload_size=64)
-
-    def client(env):
-        for _ in range(10):
-            request = Request(
-                request_class=request_class, payload=b"x" * 64, created_at=env.now
-            )
-            yield env.process(ingress.submit(request))
-
-    # Concurrent clients so in-flight counts actually differ at pick time.
-    for _ in range(4):
-        cluster.env.process(client(cluster.env))
-    cluster.run(until=5.0)
-    served = [unit.served for unit in ingress.units]
-    assert sum(served) == 40
-    assert all(count > 0 for count in served)
-
-
-def test_round_robin_policy_alternates():
-    cluster = Cluster(node_count=2)
-    ingress = ClusterIngress(cluster, policy="round_robin")
-    ingress.deploy_chain_units(chain_spec(), plane_factory)
-    picks = [ingress.pick_unit() for _ in range(4)]
-    assert picks[0] is not picks[1]
-    assert picks[0] is picks[2]
-
-
-def test_unknown_policy_rejected():
-    with pytest.raises(ClusterError, match="policy"):
-        ClusterIngress(Cluster(node_count=1), policy="random")
-
-
-def test_ingress_skips_unservable_unit_and_recovers():
-    """Crashing every pod of one unit's function pulls the whole chain unit
-    out of rotation; recovery puts it back (the fault-injection satellite)."""
-    cluster = Cluster(node_count=2)
-    ingress = ClusterIngress(cluster, policy="least_loaded")
-    units = ingress.deploy_chain_units(chain_spec(), plane_factory)
-    cluster.run(until=0.01)
-    victim = units[0]
-    downed = [
-        pod
-        for deployment in victim.plane.deployments.values()
-        for pod in deployment.servable_pods()
-    ]
-    assert downed and ClusterIngress.unit_servable(victim)
-    for pod in downed:
-        pod.fail()
-    assert not ClusterIngress.unit_servable(victim)
-    picks = {id(ingress.pick_unit()) for _ in range(8)}
-    assert picks == {id(units[1])}
-    for pod in downed:
-        pod.recover()
-    assert ClusterIngress.unit_servable(victim)
-    # Back in rotation: least_loaded at zero in-flight prefers list order.
-    assert id(ingress.pick_unit()) == id(victim)
-
-
-def test_ingress_falls_back_when_every_unit_down():
-    cluster = Cluster(node_count=2)
-    ingress = ClusterIngress(cluster, policy="round_robin")
-    units = ingress.deploy_chain_units(chain_spec(), plane_factory)
-    cluster.run(until=0.01)
-    for unit in units:
-        for deployment in unit.plane.deployments.values():
-            for pod in deployment.servable_pods():
-                pod.fail()
-    assert all(not ClusterIngress.unit_servable(unit) for unit in units)
-    # Degraded but not crashing: picks fall back to the full unit list.
-    assert ingress.pick_unit() in units
 
 
 # -- health probing ----------------------------------------------------------------

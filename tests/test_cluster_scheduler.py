@@ -7,16 +7,13 @@ from hypothesis import strategies as st
 from repro.cluster import (
     POLICIES,
     ClusterScheduler,
+    NodeDescriptor,
+    PlacementError,
     function_core_request,
     function_memory_request,
 )
 from repro.experiments import cluster_exp
 from repro.runtime import ChainSpec, FunctionSpec
-from repro.runtime.scheduler import (
-    NodeDescriptor,
-    PlacementEngine,
-    PlacementError,
-)
 
 
 def _nodes(count, cores=2.0, memory_mb=1024.0):
@@ -106,27 +103,6 @@ def test_cluster_placement_error_carries_shortfalls():
     for candidate in diag["candidates"]:
         assert candidate["core_shortfall"] == 1.0
         assert candidate["memory_shortfall_mb"] == 0.0
-
-
-def test_placement_engine_error_carries_shortfalls():
-    engine = PlacementEngine()
-    engine.add_node(NodeDescriptor(name="tiny", cores=1, memory_mb=1.0))
-    chain = ChainSpec("c", [FunctionSpec("f", 100e-6)])
-    with pytest.raises(PlacementError) as excinfo:
-        engine.place_chain(chain)
-    diag = excinfo.value.diagnostics
-    assert diag["subject"] == "c"
-    assert diag["candidates"][0]["node"] == "tiny"
-    assert diag["candidates"][0]["memory_shortfall_mb"] > 0.0
-
-
-def test_fragmentation_survives_zero_capacity_nodes():
-    engine = PlacementEngine()
-    drained = NodeDescriptor(name="drained", cores=0, memory_mb=0.0)
-    drained.chains.append("ghost")
-    engine.add_node(drained)
-    assert engine.fragmentation() == 0.0
-    assert PlacementEngine().fragmentation() == 0.0
 
 
 # --- determinism (satellite: policies are functions of the topology) --------

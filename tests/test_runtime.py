@@ -1,4 +1,4 @@
-"""Tests for the orchestration substrate: pods, kubelet, autoscaler, placement."""
+"""Tests for the orchestration substrate: pods, kubelet, autoscaler, metrics."""
 
 import pytest
 
@@ -12,9 +12,6 @@ from repro.runtime import (
     FunctionSpec,
     Kubelet,
     MetricsServer,
-    NodeDescriptor,
-    PlacementEngine,
-    PlacementError,
     PodMetrics,
     PodPhase,
     RESPONSE,
@@ -318,53 +315,3 @@ def test_metrics_server_staleness():
     metrics.report(PodMetrics(function="f", timestamp=0.0, request_rate=5, concurrency=2))
     assert metrics.request_rate("f", now=5.0) == 5
     assert metrics.request_rate("f", now=50.0) == 0.0
-
-
-# -- placement -----------------------------------------------------------------------------
-
-def boutique_sized_chain(name, functions=10):
-    return sequential_chain(
-        name, [FunctionSpec(name=f"{name}-f{i}") for i in range(functions)]
-    )
-
-
-def test_placement_keeps_chain_on_one_node():
-    engine = PlacementEngine()
-    engine.add_node(NodeDescriptor(name="w1", cores=40))
-    engine.add_node(NodeDescriptor(name="w2", cores=40))
-    chain = boutique_sized_chain("boutique")
-    node_name = engine.place_chain(chain)
-    assert engine.node_of("boutique") == node_name
-
-
-def test_placement_best_fit_packs_tightly():
-    engine = PlacementEngine()
-    engine.add_node(NodeDescriptor(name="big", cores=40))
-    engine.add_node(NodeDescriptor(name="small", cores=8))
-    chain = boutique_sized_chain("tiny", functions=2)  # needs 1.5 cores
-    assert engine.place_chain(chain) == "small"
-
-
-def test_placement_rejects_oversized_chain():
-    engine = PlacementEngine()
-    engine.add_node(NodeDescriptor(name="w1", cores=2))
-    with pytest.raises(PlacementError):
-        engine.place_chain(boutique_sized_chain("big"))
-
-
-def test_placement_eviction_frees_capacity():
-    engine = PlacementEngine()
-    engine.add_node(NodeDescriptor(name="w1", cores=8))
-    chain = boutique_sized_chain("c", functions=2)
-    engine.place_chain(chain)
-    committed = engine.nodes["w1"].committed_cores
-    assert committed > 0
-    engine.evict_chain(chain)
-    assert engine.nodes["w1"].committed_cores == pytest.approx(0.0)
-
-
-def test_fragmentation_reported():
-    engine = PlacementEngine()
-    engine.add_node(NodeDescriptor(name="w1", cores=10))
-    engine.place_chain(boutique_sized_chain("c", functions=2))
-    assert 0.0 < engine.fragmentation() < 1.0
