@@ -3,45 +3,31 @@
 Examples::
 
     spright-repro tables            # Tables 1 and 2 (overhead audits)
-    spright-repro fig2              # sidecar comparison
     spright-repro fig5 --max-concurrency 128
     spright-repro boutique --scale 0.1 --duration 60
-    spright-repro motion --duration 1800
-    spright-repro parking
-    spright-repro xdp
-    spright-repro ablations
     spright-repro faults --fault-plan loss-crash --retries 2 --hedge 0.05
-    spright-repro recovery --planes s-spright --duration 30
     spright-repro trace --plane s-spright --workload boutique --out out/
-    spright-repro traffic --functions 12 --processes 2
     spright-repro traffic --policies kpa pinned --patterns bursty
-    spright-repro cluster --nodes 3 --placement all
     spright-repro cluster --planes s-spright lambda-nic --sanitize
-    spright-repro cloning --duration 20   # PS cloning lab: oracle + plane sweep
     spright-repro all               # everything, at smoke-test scale
 
-``run`` executes a declarative scenario file (byte-identical stdout to
-the equivalent flag invocation; see DESIGN.md "Scenario engine")::
+Flags are scenario keys: ``spright-repro <experiment> [flags]`` builds
+the scenario document ``{name: <experiment>, experiment: <experiment>,
+…}`` with one key per given flag (see :data:`FLAGS`) and runs it through
+the same resolve → execute path as ``run``. Each experiment's
+``run_config`` holds its own defaults, and a flag the experiment does not
+consume exits 2 with the scenario path it would set.
 
-    spright-repro run scenarios/boutique-baseline.json
+``run`` executes declarative scenario files (DESIGN.md "Scenario
+engine")::
+
     spright-repro run clone-sweep --set workload.duration=5
     spright-repro run --validate-only scenarios/*.json scenarios/*.yaml
 
-Any command also accepts ``--trace``/``--profile``: the run executes with
-span tracing / CPU profiling on, and with ``--out`` the Perfetto trace
-JSON, OpenMetrics text, and folded flamegraph stacks are written next to
-the report.
+``serve`` wraps any other command with the live dashboard (the URL goes
+to stderr; stdout stays byte-identical to a headless run)::
 
-``serve`` wraps any other command with the live dashboard::
-
-    spright-repro serve --port 8089 -- traffic --functions 12
-    spright-repro serve --linger 600 -- boutique --duration 120 --trace
-
-The inner command runs unchanged (stdout stays byte-identical to a
-headless run — the dashboard URL goes to stderr) while an SSE server
-streams metrics, span waterfalls, SLO burn rates, and economics to the
-browser. ``--linger`` keeps the server up after the run completes so the
-final state stays inspectable.
+    spright-repro serve --port 8089 --linger 600 -- boutique --trace
 """
 
 from __future__ import annotations
@@ -50,190 +36,118 @@ import argparse
 import contextlib
 import sys
 
-from . import obs
-from .mem import set_default_sanitize
-from .experiments import (
-    ablations,
-    audits,
-    boutique_exp,
-    cloning_exp,
-    cluster_exp,
-    faults_exp,
-    fig2,
-    fig5,
-    motion_exp,
-    parking_exp,
-    recovery_exp,
-    trace_exp,
-    traffic_exp,
-    xdp_exp,
-)
 from .faults import NAMED_PLANS
+from .obs.live import dashboard_session
+from .scenario import (
+    ARRIVAL_PATTERNS,
+    EXPERIMENT_NAMES,
+    KEEPALIVE_POLICIES,
+    PLACEMENT_POLICIES,
+    PLANE_NAMES,
+    SCHEMA_ID,
+    WORKLOAD_KINDS_BY_EXPERIMENT,
+    ScenarioError,
+    check_scenario,
+    execute,
+    resolve,
+    run_scenario,
+)
 
-# Each _cmd_* builds a config dict and delegates to the experiment module's
-# run_config entry point — the same entry point `spright-repro run <scenario>`
-# dispatches to, which is what keeps a scenario's stdout byte-identical to the
-# equivalent flag invocation.
+#: One row per flag: (flag, the dotted scenario path it sets, argparse
+#: kwargs). No row has a default: a flag not given is absent from the
+#: document, so each experiment's ``run_config`` owns its defaults.
+FLAGS = (
+    ("--duration", "workload.duration", dict(type=float, help="simulated seconds per run")),
+    ("--scale", "workload.scale", dict(
+        type=float, help="boutique scale factor: users and cores shrink together")),
+    ("--max-concurrency", "workload.max_concurrency", dict(type=int, help="fig5 sweep ceiling")),
+    ("--fault-plan", "faults.plan", dict(
+        help=f"faults: named plan ({', '.join(sorted(NAMED_PLANS))}), a JSON file path, "
+        "or 'none' for an empty plan")),
+    # 'off' is CLI sugar for d=1; a scenario spells it 1.
+    ("--clone-factor", "resilience.clone_factor", dict(
+        type=lambda text: 1 if text == "off" else int(text) if text.isdigit() else text,
+        metavar="D", help="faults: synchronized request clones per attempt — an integer d, "
+        "'off' (d=1 everywhere), or 'optimal' (the default: the lab-measured per-plane "
+        "optimum, d=2 on the shared-memory planes and d=1 on knative/grpc)")),
+    ("--retries", "resilience.retries", dict(
+        type=int, help="faults: retry budget per request (0 disables retries)")),
+    ("--hedge", "resilience.hedge_delay", dict(
+        type=float, metavar="DELAY_S", help="faults: launch a hedged duplicate after this "
+        "many seconds without a response (off by default)")),
+    ("--request-timeout", "resilience.timeout", dict(
+        type=float, help="faults: per-attempt timeout in seconds")),
+    ("--planes", "planes", dict(
+        nargs="+", choices=PLANE_NAMES,
+        help="faults/recovery/traffic/cluster: restrict the suite to these dataplanes")),
+    ("--nodes", "cluster.nodes", dict(
+        type=int, help="cluster: node count for the multi-node sweep points")),
+    ("--placement", "cluster.placement", dict(
+        choices=PLACEMENT_POLICIES, help="cluster: restrict the sweep to one placement policy")),
+    ("--no-overload", "admission.overload", dict(
+        action="store_false", help="recovery: skip the overload/admission-control comparison")),
+    ("--plane", "planes", dict(
+        action="append", choices=PLANE_NAMES, help="trace: which dataplane to run traced")),
+    ("--workload", "workload.kind", dict(
+        choices=WORKLOAD_KINDS_BY_EXPERIMENT["trace"], help="trace: which workload to run traced")),
+    ("--functions", "workload.functions", dict(
+        type=int, help="traffic: number of functions in the synthetic fleet")),
+    ("--processes", "workload.processes", dict(
+        type=int, help="traffic: worker processes for the fleet runner (output is "
+        "byte-identical to the serial run)")),
+    ("--policies", "keepalive.policies", dict(
+        nargs="+", choices=KEEPALIVE_POLICIES,
+        help="traffic: restrict the sweep to these keep-alive policies")),
+    ("--patterns", "keepalive.patterns", dict(
+        nargs="+", choices=ARRIVAL_PATTERNS,
+        help="traffic: restrict the sweep to these fleet arrival patterns")),
+    ("--trace", "observability.trace", dict(
+        action="store_true", help="enable causal span tracing for every node this run creates "
+        "(with --out, writes Chrome/Perfetto trace-event JSON)")),
+    ("--profile", "observability.profile", dict(
+        action="store_true", help="enable the simulated-CPU profiler for every node this run "
+        "creates (with --out, writes folded flamegraph stacks)")),
+    ("--out", "observability.out", dict(
+        help="also write the report (and a JSON copy) under this directory")),
+    ("--sanitize", "observability.sanitize", dict(
+        action="store_true", help="run every SPRIGHT chain in memory-safety checked mode: the "
+        "generation-tagged sanitizer watches the shared pools, counts violations under "
+        "sanitizer/* node counters, and reports buffers leaked at chain teardown")),
+)
+
+#: ``all``: every paper table and figure at smoke-test scale. It takes
+#: only the observability flags, which are merged into each document.
+ALL = (
+    ("tables", {}),
+    ("fig2", {"workload.duration": 2.0}),
+    ("fig5", {"workload.max_concurrency": 64, "workload.duration": 1.0}),
+    ("motion", {"workload.duration": 1200.0}),
+    ("parking", {"workload.duration": 700.0}),
+    ("xdp", {"workload.duration": 1.0}),
+    ("ablations", {}),
+)
 
 
-def _cmd_tables(_args) -> str:
-    return audits.run_config()
-
-
-def _cmd_fig2(args) -> str:
-    return fig2.run_config({"duration": args.duration or 5.0})
-
-
-def _cmd_fig5(args) -> str:
-    return fig5.run_config(
-        {
-            "max_concurrency": args.max_concurrency,
-            "duration": args.duration or 1.0,
-        }
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="spright-repro", description="Regenerate the SPRIGHT paper's tables and figures."
     )
+    parser.add_argument("command", choices=EXPERIMENT_NAMES + ("all",))
+    for flag, path, kwargs in FLAGS:
+        parser.add_argument(flag, dest=path, default=argparse.SUPPRESS, **kwargs)
+    return parser
 
 
-def _cmd_boutique(args) -> str:
-    return boutique_exp.run_config(
-        {"scale": args.scale, "duration": args.duration or 60.0}
-    )
-
-
-def _cmd_motion(args) -> str:
-    return motion_exp.run_config({"duration": args.duration or 3600.0})
-
-
-def _cmd_parking(args) -> str:
-    return parking_exp.run_config({"duration": args.duration or 700.0})
-
-
-def _cmd_xdp(args) -> str:
-    return xdp_exp.run_config({"duration": args.duration or 2.0})
-
-
-def _cmd_ablations(_args) -> str:
-    return ablations.run_config()
-
-
-def _cmd_faults(args) -> str:
-    return faults_exp.run_config(
-        {
-            "fault_plan": args.fault_plan,
-            "retries": args.retries,
-            "hedge_delay": args.hedge,
-            "request_timeout": args.request_timeout,
-            "clone_factor": args.clone_factor,
-            "scale": args.scale,
-            "duration": args.duration or 30.0,
-        }
-    )
-
-
-def _cmd_recovery(args) -> str:
-    return recovery_exp.run_config(
-        {
-            "planes": args.planes,
-            "scale": args.scale,
-            "duration": args.duration or 30.0,
-            "include_overload": not args.no_overload,
-        }
-    )
-
-
-def _cmd_trace(args) -> str:
-    return trace_exp.run_config(
-        {
-            "plane": args.plane,
-            "workload": args.workload,
-            "scale": args.scale,
-            "duration": args.duration or 10.0,
-            "out": args.out,
-        }
-    )
-
-
-def _cmd_traffic(args) -> str:
-    return traffic_exp.run_config(
-        {
-            "planes": args.planes,
-            "policies": args.policies,
-            "patterns": args.patterns,
-            "functions": args.functions,
-            "duration": args.duration or 14400.0,
-            "processes": args.processes,
-        }
-    )
-
-
-def _cmd_cluster(args) -> str:
-    return cluster_exp.run_config(
-        {
-            "planes": args.planes,
-            "nodes": args.nodes,
-            "placement": args.placement,
-            "duration": args.duration or 2.0,
-        }
-    )
-
-
-def _cmd_cloning(args) -> str:
-    return cloning_exp.run_config({"duration": args.duration or 20.0})
-
-
-def _cmd_all(args) -> str:
-    sections = [
-        _cmd_tables(args),
-        _cmd_fig2(argparse.Namespace(duration=2.0)),
-        _cmd_fig5(argparse.Namespace(max_concurrency=64, duration=1.0)),
-        _cmd_motion(argparse.Namespace(duration=1200.0)),
-        _cmd_parking(argparse.Namespace(duration=700.0)),
-        _cmd_xdp(argparse.Namespace(duration=1.0)),
-        _cmd_ablations(args),
-    ]
-    return "\n\n".join(sections)
-
-
-COMMANDS = {
-    "tables": _cmd_tables,
-    "fig2": _cmd_fig2,
-    "fig5": _cmd_fig5,
-    "boutique": _cmd_boutique,
-    "motion": _cmd_motion,
-    "parking": _cmd_parking,
-    "xdp": _cmd_xdp,
-    "ablations": _cmd_ablations,
-    "faults": _cmd_faults,
-    "recovery": _cmd_recovery,
-    "trace": _cmd_trace,
-    "traffic": _cmd_traffic,
-    "cluster": _cmd_cluster,
-    "cloning": _cmd_cloning,
-    "all": _cmd_all,
-}
-
-
-@contextlib.contextmanager
-def dashboard_session(host: str = "127.0.0.1", port: int = 0):
-    """Run a live dashboard around a block of simulation work.
-
-    Installs a process-wide :class:`~repro.obs.live.LiveSink` (every node
-    created inside the block auto-attaches) and serves it over HTTP/SSE.
-    The URL is printed to **stderr** so the wrapped command's stdout stays
-    byte-identical to a headless run.
-    """
-    from .obs.live import DashboardServer, LiveSink
-
-    sink = LiveSink()
-    server = DashboardServer(sink, host=host, port=port)
-    server.start()
-    obs.set_default_live_sink(sink)
-    print(f"spright-repro dashboard: {server.url}", file=sys.stderr)
-    try:
-        yield sink, server
-    finally:
-        obs.set_default_live_sink(None)
-        sink.detach_all()
-        server.stop()
+def _document(experiment: str, keys: dict) -> dict:
+    """The scenario document that the dotted-path ``keys`` describe."""
+    doc = {"schema": SCHEMA_ID, "name": experiment, "experiment": experiment}
+    for path, value in keys.items():
+        *sections, key = path.split(".")
+        target = doc
+        for section in sections:
+            target = target.setdefault(section, {})
+        target[key] = value
+    return doc
 
 
 def _serve(argv) -> int:
@@ -308,8 +222,6 @@ def _run(argv) -> int:
         help="parse + validate + resolve every scenario without running it",
     )
     args = parser.parse_args(argv)
-    from .scenario import ScenarioError, check_scenario, run_scenario
-
     if args.validate_only:
         failures = 0
         for spec in args.scenarios:
@@ -335,209 +247,26 @@ def _run(argv) -> int:
     return 0
 
 
-def _clone_factor_arg(text: str):
-    """``--clone-factor``: an integer d, 'off', or 'optimal'."""
-    if text in ("optimal", "off"):
-        return text
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, 'off', or 'optimal', got {text!r}"
-        )
-    if value < 1:
-        raise argparse.ArgumentTypeError("clone factor must be >= 1")
-    return value
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="spright-repro",
-        description="Regenerate the SPRIGHT paper's tables and figures.",
-    )
-    parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument(
-        "--duration", type=float, default=None, help="simulated seconds per run"
-    )
-    parser.add_argument(
-        "--scale",
-        type=float,
-        default=0.1,
-        help="boutique scale factor: users and cores shrink together",
-    )
-    parser.add_argument(
-        "--max-concurrency", type=int, default=512, help="fig5 sweep ceiling"
-    )
-    parser.add_argument(
-        "--fault-plan",
-        type=str,
-        default="loss-crash",
-        help="faults: named plan ("
-        + ", ".join(sorted(NAMED_PLANS))
-        + "), a JSON file path, or 'none' for an empty plan",
-    )
-    parser.add_argument(
-        "--clone-factor",
-        type=_clone_factor_arg,
-        default="optimal",
-        metavar="D",
-        help="faults: synchronized request clones per attempt — an integer "
-        "d, 'off' (d=1 everywhere), or 'optimal' (the default: the "
-        "lab-measured per-plane optimum, d=2 on the shared-memory planes "
-        "and d=1 on knative/grpc)",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=2,
-        help="faults: retry budget per request (0 disables retries)",
-    )
-    parser.add_argument(
-        "--hedge",
-        type=float,
-        default=None,
-        metavar="DELAY_S",
-        help="faults: launch a hedged duplicate after this many seconds "
-        "without a response (off by default)",
-    )
-    parser.add_argument(
-        "--request-timeout",
-        type=float,
-        default=1.0,
-        help="faults: per-attempt timeout in seconds",
-    )
-    parser.add_argument(
-        "--planes",
-        type=str,
-        nargs="+",
-        default=None,
-        choices=("knative", "grpc", "s-spright", "d-spright", "lambda-nic"),
-        help="recovery/cluster: restrict the suite to these dataplanes",
-    )
-    parser.add_argument(
-        "--nodes",
-        type=int,
-        default=3,
-        help="cluster: node count for the multi-node sweep points",
-    )
-    parser.add_argument(
-        "--placement",
-        type=str,
-        default="all",
-        choices=("all",) + cluster_exp.POLICIES,
-        help="cluster: restrict the sweep to one placement policy",
-    )
-    parser.add_argument(
-        "--no-overload",
-        action="store_true",
-        help="recovery: skip the overload/admission-control comparison",
-    )
-    parser.add_argument(
-        "--plane",
-        type=str,
-        default="s-spright",
-        choices=("knative", "grpc", "s-spright", "d-spright"),
-        help="trace: which dataplane to run traced",
-    )
-    parser.add_argument(
-        "--workload",
-        type=str,
-        default="boutique",
-        choices=sorted(trace_exp.WORKLOADS),
-        help="trace: which workload to run traced",
-    )
-    parser.add_argument(
-        "--functions",
-        type=int,
-        default=12,
-        help="traffic: number of functions in the synthetic fleet",
-    )
-    parser.add_argument(
-        "--processes",
-        type=int,
-        default=1,
-        help="traffic: worker processes for the fleet runner (output is "
-        "byte-identical to the serial run)",
-    )
-    parser.add_argument(
-        "--policies",
-        type=str,
-        nargs="+",
-        default=None,
-        choices=("fixed", "kpa", "histogram", "pinned"),
-        help="traffic: restrict the sweep to these keep-alive policies",
-    )
-    parser.add_argument(
-        "--patterns",
-        type=str,
-        nargs="+",
-        default=None,
-        choices=("flat", "diurnal", "bursty"),
-        help="traffic: restrict the sweep to these fleet arrival patterns",
-    )
-    parser.add_argument(
-        "--trace",
-        action="store_true",
-        help="enable causal span tracing for every node this run creates "
-        "(with --out, writes Chrome/Perfetto trace-event JSON)",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="enable the simulated-CPU profiler for every node this run "
-        "creates (with --out, writes folded flamegraph stacks)",
-    )
-    parser.add_argument(
-        "--out",
-        type=str,
-        default=None,
-        help="also write the report (and a JSON copy) under this directory",
-    )
-    parser.add_argument(
-        "--sanitize",
-        action="store_true",
-        help="run every SPRIGHT chain in memory-safety checked mode: the "
-        "generation-tagged sanitizer watches the shared pools, counts "
-        "violations under sanitizer/* node counters, and reports buffers "
-        "leaked at chain teardown",
-    )
-    return parser
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "serve":
         return _serve(argv[1:])
     if argv and argv[0] == "run":
         return _run(argv[1:])
-    args = build_parser().parse_args(argv)
-    if args.sanitize:
-        set_default_sanitize(True)
-    if args.trace or args.profile:
-        obs.set_default_observe(trace=args.trace, profile=args.profile)
-    report = COMMANDS[args.command](args)
-    print(report)
-    if args.out:
-        from pathlib import Path
-
-        from .stats import write_json
-
-        directory = Path(args.out)
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / f"{args.command}.txt").write_text(report + "\n")
-        write_json(
-            directory / f"{args.command}.json",
-            {"command": args.command, "report": report},
-        )
-        if (args.trace or args.profile) and args.command != "trace":
-            for index, session in enumerate(obs.active_sessions(), start=1):
-                obs.export.write_artifacts(
-                    directory,
-                    tracer=session.tracer,
-                    registry=session.registry,
-                    profiler=session.profiler,
-                    basename=f"{args.command}-node{index}",
-                )
+    keys = vars(build_parser().parse_args(argv))
+    command = keys.pop("command")
+    try:
+        if command != "all":
+            docs = [_document(command, keys)]
+        elif any(not path.startswith("observability.") for path in keys):
+            raise ScenarioError(f"all takes only observability flags (got {', '.join(keys)})")
+        else:
+            docs = [_document(name, {**workload, **keys}) for name, workload in ALL]
+        scenarios = [resolve(doc) for doc in docs]
+    except ScenarioError as exc:
+        print(f"spright-repro {command}: {exc}", file=sys.stderr)
+        return 2
+    print("\n\n".join(execute(scenario) for scenario in scenarios))
     return 0
 
 

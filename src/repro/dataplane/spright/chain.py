@@ -643,7 +643,7 @@ class SprightChainRuntime:
             return
         # Zero-copy: the function reads the payload in place, resolving the
         # wire descriptor's (offset, generation) identity through the pool.
-        payload = self._resolve_payload(message)
+        payload = self._read_payload(message)
         if message.request is not None:
             message.request.mark(f"deliver:{function_name}", self.node.env.now)
         try:
@@ -690,7 +690,7 @@ class SprightChainRuntime:
             assert isinstance(message, SprightMessage)
             self.node.env.process(self._finish_response(ops, message))
 
-    def _resolve_payload(self, message: SprightMessage) -> bytes:
+    def _read_payload(self, message: SprightMessage) -> bytes:
         """Receive-side read: verify the descriptor before touching memory.
 
         Both transports deliver the 24-byte descriptor alongside the
@@ -716,7 +716,7 @@ class SprightChainRuntime:
             # instead of the requester.
             self.release_message(message)
             return
-        message.response = self._resolve_payload(message)
+        message.response = self._read_payload(message)
         if not message.done.triggered:
             message.done.succeed(message.response)
 

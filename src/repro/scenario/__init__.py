@@ -17,10 +17,10 @@ Design contract (see DESIGN.md "Scenario engine"):
 * **validated with precise paths** — a hand-rolled JSON-schema-style
   validator (:mod:`repro.scenario.schema`) rejects unknown keys, wrong
   types, and bad enum members with JSON-pointer-style error paths;
-* **byte-identical to flags** — scenarios resolve
-  (:mod:`repro.scenario.resolve`) into the same ``run_config`` entry
-  points the flag CLI calls, so the checked-in goldens double as scenario
-  regression fixtures;
+* **flags are scenario keys** — a flag invocation builds a scenario
+  document and runs it through the same resolve → execute path, so its
+  stdout is byte-identical to the equivalent scenario and the checked-in
+  goldens double as scenario regression fixtures;
 * **deterministic seeds** — ``seed: auto`` derives the seed from the
   scenario *name*; the default stays the repo-wide legacy seed 2022;
 * **resolution order** — file < ``--set`` overrides, and conflicting
@@ -35,10 +35,11 @@ from .parser import (
     parse_yaml,
 )
 from .resolve import (
-    EXPERIMENT_SPECS,
+    KEYS,
     LEGACY_SEED,
     ResolvedScenario,
     SEEDABLE,
+    WORKLOAD_KINDS_BY_EXPERIMENT,
     apply_overrides,
     derive_seed,
     resolve,
@@ -74,8 +75,8 @@ from .schema import (
 __all__ = [
     "ARRIVAL_PATTERNS",
     "EXPERIMENT_NAMES",
-    "EXPERIMENT_SPECS",
     "FAULT_KINDS",
+    "KEYS",
     "KEEPALIVE_POLICIES",
     "LEGACY_SEED",
     "PLACEMENT_POLICIES",
@@ -90,6 +91,7 @@ __all__ = [
     "ScenarioParseError",
     "ScenarioValidationError",
     "WORKLOAD_KINDS",
+    "WORKLOAD_KINDS_BY_EXPERIMENT",
     "apply_overrides",
     "check_scenario",
     "derive_seed",

@@ -1,22 +1,22 @@
 """Resolution: validated scenario document -> experiment entry-point config.
 
-A scenario names one experiment family (the same set the flag CLI
-exposes) and composes sections — workload, planes, cluster topology,
-fault plan, resilience/cloning policy, keep-alive policy, admission/SLO
-targets, observability. This module:
+A scenario names one experiment family and composes sections — workload,
+planes, cluster topology, fault plan, resilience/cloning policy,
+keep-alive policy, admission/SLO targets, observability. A flag
+invocation is a scenario too: the CLI's ``FLAGS`` table turns each flag
+into the dotted scenario path it sets. This module:
 
-* checks cross-field consistency the shape schema cannot (a ``keepalive``
-  section on a ``boutique`` scenario, two planes on a ``trace`` scenario,
-  a custom seed on a fixed-seed experiment), with the same
-  JSON-pointer-style error paths as the validator;
+* maps every consumed dotted path to its ``run_config`` key through one
+  table, :data:`KEYS`, and rejects what the experiment does not consume
+  at its own JSON pointer — ``/keepalive`` for a whole section on a
+  ``boutique`` scenario, ``/workload/scale`` for one key on ``fig2``;
+* checks what the table cannot state (the workload kind, one non-NIC
+  plane for ``trace``, a custom seed on a fixed-seed experiment);
 * applies ``--set key=value`` overrides (resolution order: file <
   overrides; conflicting or type-confused overrides are typed errors);
 * derives the deterministic per-scenario seed (``seed: auto`` hashes the
   scenario *name*, so renaming a scenario is the only way to change its
-  draw sequence);
-* emits the exact config dict the experiment's ``run_config`` entry point
-  consumes — the same entry point the flag CLI calls, which is what makes
-  a scenario's output byte-identical to the equivalent flag invocation.
+  draw sequence).
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ from __future__ import annotations
 import copy
 import hashlib
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .parser import ScenarioParseError, _parse_flow, parse_scalar
 from .schema import (
+    EXPERIMENT_NAMES,
     ScenarioOverrideError,
     ScenarioValidationError,
     validate_scenario,
@@ -71,182 +71,44 @@ class ResolvedScenario:
     doc: dict = field(default_factory=dict)
 
 
-# -- section plumbing ----------------------------------------------------------
-def _fail(path: str, message: str):
-    raise ScenarioValidationError(path, message)
+# -- the key table -------------------------------------------------------------
+_TIMED = tuple(name for name in EXPERIMENT_NAMES if name not in ("tables", "ablations"))
 
+#: Every scenario key an experiment consumes: dotted path -> (the
+#: ``run_config`` key it becomes, the experiments that consume it). A key
+#: outside this table for the scenario's experiment is a bug in the
+#: scenario, not dead weight to carry silently: it fails at its own path.
+KEYS = {
+    "workload.kind": ("workload", ("trace",)),
+    "workload.scale": ("scale", ("boutique", "faults", "recovery", "trace")),
+    "workload.duration": ("duration", _TIMED),
+    "workload.max_concurrency": ("max_concurrency", ("fig5",)),
+    "workload.functions": ("functions", ("traffic",)),
+    "workload.processes": ("processes", ("traffic",)),
+    "planes": ("planes", ("faults", "recovery", "trace", "traffic", "cluster")),
+    "cluster.nodes": ("nodes", ("cluster",)),
+    "cluster.placement": ("placement", ("cluster",)),
+    "faults.plan": ("fault_plan", ("faults",)),
+    "resilience.retries": ("retries", ("faults",)),
+    "resilience.timeout": ("request_timeout", ("faults",)),
+    "resilience.hedge_delay": ("hedge_delay", ("faults",)),
+    "resilience.clone_factor": ("clone_factor", ("faults",)),
+    "keepalive.policies": ("policies", ("traffic",)),
+    "keepalive.patterns": ("patterns", ("traffic",)),
+    "admission.overload": ("include_overload", ("recovery",)),
+    "slo.threshold_s": ("slo_threshold", ("traffic",)),
+}
 
-def _workload(doc: dict) -> dict:
-    return doc.get("workload") or {}
-
-
-def _expect_kind(doc: dict, *allowed: str) -> Optional[str]:
-    kind = _workload(doc).get("kind")
-    if kind is not None and kind not in allowed:
-        _fail(
-            "/workload/kind",
-            f"{kind!r} does not run under experiment "
-            f"{doc['experiment']!r} (expected {' or '.join(map(repr, allowed))})",
-        )
-    return kind
-
-
-def _take(cfg: dict, section: dict, *keys: str, rename: Optional[dict] = None):
-    rename = rename or {}
-    for key in keys:
-        if key in section:
-            cfg[rename.get(key, key)] = section[key]
-
-
-def _resolve_tables(doc: dict) -> dict:
-    return {}
-
-
-def _resolve_fig2(doc: dict) -> dict:
-    cfg: dict = {}
-    _take(cfg, _workload(doc), "duration")
-    return cfg
-
-
-def _resolve_fig5(doc: dict) -> dict:
-    cfg: dict = {}
-    _take(cfg, _workload(doc), "duration", "max_concurrency")
-    return cfg
-
-
-def _resolve_boutique(doc: dict) -> dict:
-    _expect_kind(doc, "boutique")
-    cfg: dict = {}
-    _take(cfg, _workload(doc), "scale", "duration")
-    return cfg
-
-
-def _resolve_motion(doc: dict) -> dict:
-    _expect_kind(doc, "motion")
-    cfg: dict = {}
-    _take(cfg, _workload(doc), "duration")
-    return cfg
-
-
-def _resolve_parking(doc: dict) -> dict:
-    _expect_kind(doc, "parking")
-    cfg: dict = {}
-    _take(cfg, _workload(doc), "duration")
-    return cfg
-
-
-def _resolve_xdp(doc: dict) -> dict:
-    cfg: dict = {}
-    _take(cfg, _workload(doc), "duration")
-    return cfg
-
-
-def _resolve_ablations(doc: dict) -> dict:
-    return {}
-
-
-def _resolve_faults(doc: dict) -> dict:
-    _expect_kind(doc, "boutique")
-    cfg: dict = {}
-    _take(cfg, _workload(doc), "scale", "duration")
-    if "planes" in doc:
-        cfg["planes"] = tuple(doc["planes"])
-    faults = doc.get("faults") or {}
-    if "plan" in faults:
-        cfg["fault_plan"] = faults["plan"]
-    resilience = doc.get("resilience") or {}
-    _take(
-        cfg,
-        resilience,
-        "retries",
-        "hedge_delay",
-        "clone_factor",
-        "timeout",
-        rename={"timeout": "request_timeout"},
-    )
-    return cfg
-
-
-def _resolve_recovery(doc: dict) -> dict:
-    _expect_kind(doc, "boutique")
-    cfg: dict = {}
-    _take(cfg, _workload(doc), "scale", "duration")
-    if "planes" in doc:
-        cfg["planes"] = tuple(doc["planes"])
-    admission = doc.get("admission") or {}
-    if "overload" in admission:
-        cfg["include_overload"] = admission["overload"]
-    return cfg
-
-
-def _resolve_trace(doc: dict) -> dict:
-    kind = _expect_kind(doc, "boutique", "motion")
-    cfg: dict = {}
-    if kind is not None:
-        cfg["workload"] = kind
-    _take(cfg, _workload(doc), "scale", "duration")
-    planes = doc.get("planes")
-    if planes is not None:
-        if len(planes) != 1:
-            _fail("/planes", "experiment 'trace' runs exactly one plane")
-        if planes[0] == "lambda-nic":
-            _fail("/planes/0", "experiment 'trace' does not support 'lambda-nic'")
-        cfg["plane"] = planes[0]
-    return cfg
-
-
-def _resolve_traffic(doc: dict) -> dict:
-    _expect_kind(doc, "synthetic-fleet")
-    cfg: dict = {}
-    _take(cfg, _workload(doc), "functions", "duration", "processes")
-    if "planes" in doc:
-        cfg["planes"] = tuple(doc["planes"])
-    keepalive = doc.get("keepalive") or {}
-    if "policies" in keepalive:
-        cfg["policies"] = tuple(keepalive["policies"])
-    if "patterns" in keepalive:
-        cfg["patterns"] = tuple(keepalive["patterns"])
-    slo = doc.get("slo") or {}
-    if "threshold_s" in slo:
-        cfg["slo_threshold"] = slo["threshold_s"]
-    return cfg
-
-
-def _resolve_cluster(doc: dict) -> dict:
-    cfg: dict = {}
-    _take(cfg, _workload(doc), "duration")
-    if "planes" in doc:
-        cfg["planes"] = tuple(doc["planes"])
-    cluster = doc.get("cluster") or {}
-    _take(cfg, cluster, "nodes", "placement")
-    return cfg
-
-
-def _resolve_cloning(doc: dict) -> dict:
-    cfg: dict = {}
-    _take(cfg, _workload(doc), "duration")
-    return cfg
-
-
-#: Per-experiment contract: which optional sections it consumes, and the
-#: resolver producing its run_config() dict. Sections outside the allowed
-#: set are rejected with a path — a keepalive block on a boutique scenario
-#: is a bug in the scenario, not dead weight to carry silently.
-EXPERIMENT_SPECS = {
-    "tables": ((), _resolve_tables),
-    "fig2": (("workload",), _resolve_fig2),
-    "fig5": (("workload",), _resolve_fig5),
-    "boutique": (("workload",), _resolve_boutique),
-    "motion": (("workload",), _resolve_motion),
-    "parking": (("workload",), _resolve_parking),
-    "xdp": (("workload",), _resolve_xdp),
-    "ablations": ((), _resolve_ablations),
-    "faults": (("workload", "planes", "faults", "resilience"), _resolve_faults),
-    "recovery": (("workload", "planes", "admission"), _resolve_recovery),
-    "trace": (("workload", "planes"), _resolve_trace),
-    "traffic": (("workload", "planes", "keepalive", "slo"), _resolve_traffic),
-    "cluster": (("workload", "planes", "cluster"), _resolve_cluster),
-    "cloning": (("workload",), _resolve_cloning),
+#: The workload kinds each experiment runs; ``workload.kind`` is checked
+#: against these (and passed on only to ``trace``, which runs either).
+WORKLOAD_KINDS_BY_EXPERIMENT = {
+    "boutique": ("boutique",),
+    "motion": ("motion",),
+    "parking": ("parking",),
+    "faults": ("boutique",),
+    "recovery": ("boutique",),
+    "trace": ("boutique", "motion"),
+    "traffic": ("synthetic-fleet",),
 }
 
 #: Sections every scenario may carry regardless of experiment.
@@ -260,22 +122,73 @@ _UNIVERSAL_SECTIONS = (
 )
 
 
+def _fail(path: str, message: str):
+    raise ScenarioValidationError(path, message)
+
+
+def _config(doc: dict, experiment: str) -> dict:
+    """The experiment's ``run_config`` dict, or a path error for any
+    section or key it does not consume."""
+    kinds = WORKLOAD_KINDS_BY_EXPERIMENT.get(experiment, ())
+    consumed = [
+        path
+        for path, (_, users) in KEYS.items()
+        if experiment in users or (path == "workload.kind" and kinds)
+    ]
+    sections = list(dict.fromkeys(path.split(".")[0] for path in consumed))
+    for section in doc:
+        if section not in _UNIVERSAL_SECTIONS and section not in sections:
+            _fail(
+                f"/{section}",
+                f"section not consumed by experiment {experiment!r} "
+                f"(allowed: {', '.join(sections) or 'none'})",
+            )
+    config: dict = {}
+    for section in sections:
+        value = doc.get(section)
+        if value is None:
+            continue
+        entries = value.items() if isinstance(value, dict) else [(None, value)]
+        for key, item in entries:
+            path = section if key is None else f"{section}.{key}"
+            if path not in consumed:
+                _fail(
+                    "/" + path.replace(".", "/"),
+                    f"key not consumed by experiment {experiment!r} (allowed: "
+                    f"{', '.join(p for p in consumed if p.startswith(section + '.'))})",
+                )
+            target, users = KEYS[path]
+            if experiment in users:
+                config[target] = tuple(item) if isinstance(item, list) else item
+    kind = (doc.get("workload") or {}).get("kind")
+    if kind is not None and kind not in kinds:
+        _fail(
+            "/workload/kind",
+            f"{kind!r} does not run under experiment {experiment!r} "
+            f"(expected {' or '.join(map(repr, kinds))})",
+        )
+    if experiment == "trace":
+        planes = config.pop("planes", None)
+        if planes is not None:
+            if len(planes) != 1:
+                _fail("/planes", "experiment 'trace' runs exactly one plane")
+            if planes[0] == "lambda-nic":
+                _fail("/planes/0", "experiment 'trace' does not support 'lambda-nic'")
+            config["plane"] = planes[0]
+        out = (doc.get("observability") or {}).get("out")
+        if out:
+            config["out"] = out
+    return config
+
+
 def resolve(doc: dict) -> ResolvedScenario:
     """Validate + cross-check + flatten one scenario document."""
     validate_scenario(doc)
     experiment = doc["experiment"]
-    allowed, resolver = EXPERIMENT_SPECS[experiment]
-    for section in doc:
-        if section not in _UNIVERSAL_SECTIONS and section not in allowed:
-            _fail(
-                f"/{section}",
-                f"section not consumed by experiment {experiment!r} "
-                f"(allowed: {', '.join(allowed) or 'none'})",
-            )
+    config = _config(doc, experiment)
 
     seed_spec = doc.get("seed", LEGACY_SEED)
     seed = derive_seed(doc["name"]) if seed_spec == "auto" else int(seed_spec)
-    config = resolver(doc)
     if experiment in SEEDABLE:
         config["seed"] = seed
     elif seed != LEGACY_SEED:

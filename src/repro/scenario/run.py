@@ -1,10 +1,12 @@
 """Scenario execution: load -> override -> resolve -> dispatch -> report.
 
-``spright-repro run <scenario> [--set key=value …]`` lands here. The
-dispatch table maps each experiment family to the **same**
-``run_config`` entry point the flag CLI calls, so a scenario's stdout is
+``spright-repro run <scenario> [--set key=value …]`` lands here, and so
+does every flag invocation: ``spright-repro <experiment> [flags]`` builds
+the equivalent scenario document and runs it through the same
+:func:`resolve` → :func:`execute` path. That is why a scenario's stdout is
 byte-identical to the equivalent flag invocation (CI diffs the baseline
 boutique scenario against ``tests/goldens/fig910-smoke.txt``).
+:func:`_entry_points` is the one experiment registry.
 
 Process-wide toggles from the ``observability`` section (trace, profile,
 sanitize) are saved and restored around the run, so embedding
@@ -22,6 +24,7 @@ from typing import Callable, Optional
 
 from .. import obs
 from ..mem import default_sanitize, set_default_sanitize
+from ..obs.live import dashboard_session
 from .parser import parse_scenario_text
 from .resolve import ResolvedScenario, apply_overrides, resolve
 from .schema import ScenarioError, validation_errors
@@ -123,13 +126,14 @@ def execute(resolved: ResolvedScenario) -> str:
 
     The observability section's process-wide toggles are scoped to this
     call; the active live dashboard (if any) learns the scenario name.
+    With ``out``, the report is written there, and so are the per-node
+    trace, metrics and folded-stack artifacts of a traced or profiled run.
     """
-    entry = _entry_points().get(resolved.experiment)
-    if entry is None:  # pragma: no cover - schema enum prevents this
-        raise ScenarioError(f"no entry point for {resolved.experiment!r}")
+    entry = _entry_points()[resolved.experiment]
     observability = resolved.observability
     saved_sanitize = default_sanitize()
     saved_observe = obs.default_observe()
+    earlier_sessions = obs.active_sessions()
     sink = obs.default_live_sink()
     if sink is not None:
         sink.set_scenario(resolved.name)
@@ -142,8 +146,6 @@ def execute(resolved: ResolvedScenario) -> str:
                 profile=bool(observability.get("profile")),
             )
         if observability.get("serve") and sink is None:
-            from ..cli import dashboard_session
-
             with dashboard_session() as (serve_sink, _server):
                 serve_sink.set_scenario(resolved.name)
                 report = entry(resolved.config)
@@ -155,7 +157,26 @@ def execute(resolved: ResolvedScenario) -> str:
         obs.set_default_observe(*saved_observe)
     out = observability.get("out")
     if out:
-        write_report(resolved, report, Path(out))
+        directory = Path(out)
+        write_report(resolved, report, directory)
+        observed = observability.get("trace") or observability.get("profile")
+        # ``trace`` writes its own artifacts under ``out``. Only the nodes
+        # this run created are exported, so each run of ``all`` numbers its
+        # own nodes from 1.
+        if observed and resolved.experiment != "trace":
+            sessions = [
+                session
+                for session in obs.active_sessions()
+                if not any(session is earlier for earlier in earlier_sessions)
+            ]
+            for index, session in enumerate(sessions, start=1):
+                obs.export.write_artifacts(
+                    directory,
+                    tracer=session.tracer,
+                    registry=session.registry,
+                    profiler=session.profiler,
+                    basename=f"{resolved.name}-node{index}",
+                )
     return report
 
 

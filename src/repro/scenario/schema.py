@@ -111,7 +111,7 @@ INLINE_PLAN_SCHEMA = {
 }
 
 #: The scenario grammar. Section applicability per experiment lives in
-#: resolve.EXPERIMENT_SPECS; this schema is the shape contract.
+#: resolve.KEYS; this schema is the shape contract.
 SCENARIO_SCHEMA = {
     "type": "object",
     "required": ["name", "experiment"],

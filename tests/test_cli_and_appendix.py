@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.cli import COMMANDS, build_parser, main
+from repro import obs
+from repro.cli import build_parser, main
+from repro.mem import default_sanitize
+from repro.scenario import EXPERIMENT_NAMES
 from repro.dataplane import DSprightDataplane, Request, RequestClass, SSprightDataplane
 from repro.runtime import FunctionSpec, WorkerNode
 
@@ -11,7 +14,7 @@ from repro.runtime import FunctionSpec, WorkerNode
 
 def test_parser_accepts_all_commands():
     parser = build_parser()
-    for command in COMMANDS:
+    for command in EXPERIMENT_NAMES + ("all",):
         args = parser.parse_args([command])
         assert args.command == command
 
@@ -33,6 +36,28 @@ def test_cli_xdp_command(capsys):
     assert main(["xdp", "--duration", "0.5"]) == 0
     out = capsys.readouterr().out
     assert "acceleration" in out
+
+
+def test_cli_restores_process_wide_toggles(capsys):
+    assert main(["xdp", "--duration", "0.1", "--sanitize", "--trace"]) == 0
+    capsys.readouterr()
+    assert obs.default_observe() == (False, False)
+    assert default_sanitize() is False
+
+
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (["boutique", "--nodes", "3"], "/cluster"),
+        (["fig2", "--scale", "0.5"], "/workload/scale"),
+        (["all", "--duration", "1"], "workload.duration"),
+    ],
+)
+def test_cli_rejects_flags_the_experiment_does_not_consume(capsys, argv, path):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert path in captured.err
 
 
 # -- Appendix A: packet data flow in S-SPRIGHT (Fig 13) ----------------------------

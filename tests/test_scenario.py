@@ -262,6 +262,52 @@ def test_run_scenario_writes_reports(tmp_path):
     assert payload["report"] == report
 
 
+def test_run_scenario_exports_per_node_artifacts(tmp_path):
+    from repro import obs
+
+    from .test_obs_trace import SCHEMA_PATH, validate
+
+    out_dir = tmp_path / "out"
+    scenario = tmp_path / "observed.json"
+    scenario.write_text(
+        json.dumps(
+            {
+                "name": "observed",
+                "experiment": "fig5",
+                "workload": {"duration": 0.3, "max_concurrency": 2},
+                "observability": {"trace": True, "profile": True, "out": str(out_dir)},
+            }
+        )
+    )
+    code, _out, _err = _capture_main(["run", str(scenario)])
+    assert code == 0
+    trace_path = out_dir / "observed-node1.trace.json"
+    assert trace_path.exists(), sorted(out_dir.iterdir())
+    schema = json.loads(SCHEMA_PATH.read_text())
+    assert not validate(json.loads(trace_path.read_text()), schema)
+    assert obs.default_observe() == (False, False)
+
+
+def test_trace_scenario_writes_artifacts_under_out(tmp_path):
+    out_dir = tmp_path / "out"
+    scenario = tmp_path / "traced.json"
+    scenario.write_text(
+        json.dumps(
+            {
+                "name": "traced",
+                "experiment": "trace",
+                "workload": {"kind": "boutique", "duration": 0.5, "scale": 0.02},
+                "planes": ["s-spright"],
+                "observability": {"out": str(out_dir)},
+            }
+        )
+    )
+    code, _out, _err = _capture_main(["run", str(scenario)])
+    assert code == 0
+    assert (out_dir / "sspright-boutique.trace.json").exists()
+    assert (out_dir / "traced.txt").exists()
+
+
 def test_live_sink_snapshot_carries_scenario_name():
     from repro.obs.live import LiveSink
 

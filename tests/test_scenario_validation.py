@@ -5,11 +5,12 @@ import pytest
 from repro.scenario import (
     ARRIVAL_PATTERNS,
     EXPERIMENT_NAMES,
-    EXPERIMENT_SPECS,
     FAULT_KINDS,
     KEEPALIVE_POLICIES,
+    KEYS,
     PLACEMENT_POLICIES,
     PLANE_NAMES,
+    SCENARIO_SCHEMA,
     ScenarioOverrideError,
     ScenarioValidationError,
     apply_overrides,
@@ -144,6 +145,21 @@ def test_workload_kind_mismatch():
     assert excinfo.value.path == "/workload/kind"
 
 
+@pytest.mark.parametrize(
+    "experiment, section, path",
+    [
+        ("fig2", {"workload": {"scale": 0.5}}, "/workload/scale"),
+        ("fig5", {"workload": {"kind": "boutique"}}, "/workload/kind"),
+        ("recovery", {"workload": {"functions": 4}}, "/workload/functions"),
+    ],
+)
+def test_key_not_consumed_by_experiment(experiment, section, path):
+    with pytest.raises(ScenarioValidationError) as excinfo:
+        resolve(_doc(experiment=experiment, **section))
+    assert excinfo.value.path == path
+    assert repr(experiment) in excinfo.value.message
+
+
 def test_trace_plane_constraints():
     with pytest.raises(ScenarioValidationError) as excinfo:
         resolve(_doc(experiment="trace", planes=["knative", "grpc"]))
@@ -174,10 +190,28 @@ def test_conflicting_overrides(assignments, needle):
 
 # -- enum drift guards: literals must match the live registries ----------------
 def test_experiment_names_match_cli_commands():
-    from repro.cli import COMMANDS
+    from repro.cli import build_parser
+    from repro.scenario.run import _entry_points
 
-    assert set(EXPERIMENT_NAMES) == set(COMMANDS) - {"all"}
-    assert set(EXPERIMENT_NAMES) == set(EXPERIMENT_SPECS)
+    choices = build_parser()._positionals._group_actions[0].choices
+    assert set(EXPERIMENT_NAMES) == set(choices) - {"all"}
+    assert set(EXPERIMENT_NAMES) == set(_entry_points())
+
+
+def test_flag_paths_are_scenario_keys():
+    """Every flag sets a key some experiment consumes (or an observability
+    toggle), and every consumed key exists in the schema."""
+    from repro.cli import FLAGS
+
+    observability = SCENARIO_SCHEMA["properties"]["observability"]["properties"]
+    for flag, path, _kwargs in FLAGS:
+        section, _, key = path.partition(".")
+        assert path in KEYS or (section == "observability" and key in observability), flag
+    for path, (_config_key, experiments) in KEYS.items():
+        schema = SCENARIO_SCHEMA
+        for part in path.split("."):
+            schema = schema["properties"][part]
+        assert experiments and set(experiments) <= set(EXPERIMENT_NAMES), path
 
 
 def test_plane_names_match_experiment_registry():
