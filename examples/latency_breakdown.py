@@ -2,7 +2,7 @@
 """Where do the milliseconds go? Per-request waterfalls across dataplanes.
 
 Sends one traced request through Knative, gRPC mode, and S-SPRIGHT, and
-renders each journey as an ASCII waterfall — making the paper's Table 1/2
+renders each journey's phase spans as an ASCII waterfall — making the paper's Table 1/2
 story visible per request: in Knative the dataplane (broker hops, sidecars,
 kernel crossings) swamps the actual function work; in SPRIGHT the functions
 dominate their own latency.
@@ -22,7 +22,9 @@ from repro.stats import overhead_time, service_time, waterfall
 
 
 def trace_one(plane_cls):
+    """One request through a fresh node: (request, its root's children)."""
     node = WorkerNode()
+    tracer = node.obs.enable_tracing()
     functions = [
         FunctionSpec(name="detect", service_time=300e-6, service_time_cv=0.0),
         FunctionSpec(name="annotate", service_time=150e-6, service_time_cv=0.0),
@@ -35,26 +37,24 @@ def trace_one(plane_cls):
         ),
         payload=b"img" * 342,
         created_at=0.0,
-    ).enable_timeline()
+    )
 
     def driver(env):
         yield env.process(plane.submit(request))
 
     node.env.process(driver(node.env))
     node.run(until=2.0)
-    return request
+    return request, tracer.children_index()[request.span.sid]
 
 
 def main() -> None:
     for plane_cls in (KnativeDataplane, GrpcDataplane, SSprightDataplane):
-        request = trace_one(plane_cls)
+        request, spans = trace_one(plane_cls)
         total_ms = request.latency * 1e3
-        served = service_time(request.timeline)
-        overhead = overhead_time(
-            request.timeline, request.created_at, request.completed_at
-        )
+        served = service_time(spans)
+        overhead = overhead_time(request.span, spans)
         print(f"=== {plane_cls.__name__} ===")
-        print(waterfall(request.timeline, request.created_at))
+        print(waterfall(request.span, spans))
         print(
             f"function work: {served * 1e3:.3f} ms "
             f"({served / request.latency * 100:.0f}%)   "

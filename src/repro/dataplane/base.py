@@ -78,9 +78,6 @@ class Request:
     completed_at: Optional[float] = None
     failed: bool = False
     error: Optional[DeliveryError] = None  # why it failed, when it failed
-    # Milestone timeline (name, sim time); populated when the request is
-    # created with ``record_timeline=True`` via enable_timeline().
-    timeline: Optional[list] = None
     # Causal span tracing (repro.obs): the root span and the tracer that
     # owns it, attached by Dataplane.submit when tracing is enabled.
     span: Optional[object] = None
@@ -92,14 +89,8 @@ class Request:
     # entirely — picks are byte-identical to pre-cloning builds.
     claimed_pods: Optional[set] = None
 
-    def enable_timeline(self) -> "Request":
-        self.timeline = []
-        return self
-
     def mark(self, milestone: str, now: float) -> None:
-        """Stamp a milestone (no-op unless timeline or tracing is enabled)."""
-        if self.timeline is not None:
-            self.timeline.append((milestone, now))
+        """Stamp a milestone: closes the tracer's open phase (no-op untraced)."""
         if self.tracer is not None:
             self.tracer.on_mark(self, milestone, now)
 

@@ -352,8 +352,8 @@ class ResilienceController:
     function (the chain head for chained planes, which is where DFR routing
     and the autoscaler already make their decisions). Counters land in the
     node's ``faults/resilience/*`` namespace, and every action is marked on
-    the winning request's timeline (``retry:N``, ``hedge:launch``,
-    ``hedge:win``, ``breaker:open``).
+    the original request (``retry:N``, ``hedge:launch``, ``hedge:win``,
+    ``breaker:open``), so a traced request's span tree records it.
     """
 
     def __init__(self, plane: "Dataplane", policy: ResiliencePolicy) -> None:
@@ -422,9 +422,12 @@ class ResilienceController:
     def _race(self, request: "Request", attempt_no: int):
         """Run one attempt round. Returns None on success, else the error.
 
-        The primary attempt runs on the original request (keeping its audit
-        trace and timeline); hedges run on shadow clones sharing the
-        timeline list, so ``hedge:*`` marks land on the visible request.
+        The primary attempt runs on the original request, keeping its audit
+        trace and span tree, so the primary's phases are recorded. Hedges
+        and clones run on shadows detached from the tracer (see
+        :meth:`_spawn_shadow`): the round's own ``hedge:``/``clone:`` marks
+        land on the original request, a shadow's deliver/serve marks are
+        not recorded.
         """
         policy = self.policy
         cloned = policy.clone_factor > 1
@@ -548,10 +551,14 @@ class ResilienceController:
         kind: str = "hedge",
         clone_cost: float = 0.0,
     ) -> _Attempt:
-        """Launch a hedge/clone on a shadow: same identity/timeline, no audit
-        trace (so kernel-op audits are not double-counted by cloned
-        traversals). The shadow shares the claimed-pod set, so synchronized
-        clones land on pairwise-distinct pods."""
+        """Launch a hedge/clone on a shadow: same identity, no audit trace
+        (so kernel-op audits are not double-counted by cloned traversals).
+
+        The shadow shares the claimed-pod set, so synchronized clones land
+        on pairwise-distinct pods. It carries no span and no tracer, so its
+        marks are no-ops: giving shadows the original's tracer would record
+        every shadow traversal too, roughly doubling the spans per request
+        of a cloned chaos run (59 to 115) while changing no table."""
         from ..dataplane.base import Request
 
         shadow = Request(
@@ -560,7 +567,6 @@ class ResilienceController:
             created_at=request.created_at,
             trace=None,
         )
-        shadow.timeline = request.timeline  # shared: marks land on the original
         shadow.claimed_pods = request.claimed_pods
         return self._spawn(shadow, attempt_no, hedge, kind=kind, clone_cost=clone_cost)
 

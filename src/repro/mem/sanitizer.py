@@ -11,7 +11,7 @@ reads or clobbers the new owner's payload.
 On top of the pool-level identity checks (always on — they are the
 correctness fix, not an opt-in), :class:`PoolSanitizer` adds the tooling
 layer: live-allocation tracking with allocation-site labels, violation
-counters surfaced through :class:`repro.stats.Counter`, and chain-teardown
+counters in a :class:`repro.obs.MetricsRegistry`, and chain-teardown
 leak detection. Enable it per chain via ``SprightParams(sanitize=True)``,
 globally via :func:`set_default_sanitize` (what the CLI's ``--sanitize``
 flag does), or attach it to any pool directly with
@@ -25,7 +25,7 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from ..stats import Counter
+from ..obs.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .pool import BufferHandle, SharedMemoryPool
@@ -103,8 +103,10 @@ class PoolSanitizer:
     drivers can assert zero violations after a checked run.
     """
 
-    def __init__(self, counter: Optional[Counter] = None, strict: bool = False) -> None:
-        self.counter = counter if counter is not None else Counter()
+    def __init__(
+        self, counter: Optional[MetricsRegistry] = None, strict: bool = False
+    ) -> None:
+        self.counter = counter if counter is not None else MetricsRegistry()
         self.strict = strict
         self.violations: list[Violation] = []
         self._live: dict[tuple[str, int], AllocationRecord] = {}

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..stats import Counter
+    from ..obs.metrics import MetricsRegistry
     from .pool import BufferHandle, SharedMemoryPool
 
 
@@ -39,7 +39,7 @@ class ShmScavenger:
     """
 
     def __init__(
-        self, pool: "SharedMemoryPool", counter: Optional["Counter"] = None
+        self, pool: "SharedMemoryPool", counter: Optional["MetricsRegistry"] = None
     ) -> None:
         self.pool = pool
         self.counter = counter

@@ -1,7 +1,7 @@
 """Unified observability: span tracing, metrics registry, CPU profiling.
 
 Every :class:`~repro.runtime.WorkerNode` owns an :class:`Observability`
-bundle. The metrics registry is always on (it backs ``node.counters``);
+bundle. The metrics registry is always on (it is ``node.counters``);
 the tracer and profiler are opt-in — enabled per node, or process-wide via
 :func:`set_default_observe` (what the CLI's ``--trace``/``--profile`` flags
 and the ``spright-repro trace`` command set) or the ``SPRIGHT_REPRO_TRACE``
@@ -25,7 +25,6 @@ from .metrics import (
     CounterMetric,
     GaugeMetric,
     HistogramMetric,
-    LegacyCounters,
     MetricsRegistry,
     log_bucket_bounds,
     sanitize_metric_name,
@@ -102,7 +101,6 @@ class Observability:
         self.env = env
         self.label = label
         self.registry = MetricsRegistry()
-        self.counters = LegacyCounters(self.registry)
         self.tracer: Optional[Tracer] = None
         self.profiler: Optional[CpuProfiler] = None
         self._kernel_counters: dict = {}
@@ -157,7 +155,6 @@ __all__ = [
     "CpuProfiler",
     "GaugeMetric",
     "HistogramMetric",
-    "LegacyCounters",
     "MetricsRegistry",
     "Observability",
     "Span",

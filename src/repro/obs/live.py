@@ -44,7 +44,7 @@ from pathlib import Path
 from typing import Callable, Optional
 from urllib.parse import urlsplit
 
-from ..stats.tracing import span_waterfall_rows
+from ..stats.tracing import waterfall_rows
 from .metrics import CounterMetric, GaugeMetric, HistogramMetric
 from .slo import SloBoard, SloTarget, histogram_quantile
 
@@ -360,16 +360,9 @@ class LiveSink:
             tracer = bundle.tracer
             if tracer is None:
                 continue
-            finished = tracer.finished_spans()
-            by_parent: dict[int, list] = {}
-            roots = []
-            for span in finished:
-                if span.parent is None:
-                    roots.append(span)
-                else:
-                    by_parent.setdefault(span.parent, []).append(span)
-            for root in roots[-self.spans_window:]:
-                children = by_parent.get(root.sid, [])
+            children_of = tracer.children_index()
+            for root in tracer.roots()[-self.spans_window:]:
+                children = children_of.get(root.sid, [])
                 # Event markers hang off the root; leg/shm spans hang off
                 # phases — the waterfall wants phases + root-level events.
                 waterfalls.append(
@@ -378,7 +371,7 @@ class LiveSink:
                         "request": root.name,
                         "start_s": root.start,
                         "duration_s": root.duration,
-                        "rows": span_waterfall_rows(root, children),
+                        "rows": waterfall_rows(root, children),
                     }
                 )
         return {

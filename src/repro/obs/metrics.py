@@ -2,9 +2,9 @@
 
 One namespaced API replaces the stringly-typed counter dicts that used to
 live in ``dataplane/base.py``, ``mem/sanitizer.py``, ``faults/injector.py``
-and ``kernel/netdev.py``: every node owns a :class:`MetricsRegistry`, and
-``node.counters`` is a :class:`LegacyCounters` facade over it so existing
-``incr``/``get``/``as_dict`` call sites keep working unchanged.
+and ``kernel/netdev.py``: every node owns a :class:`MetricsRegistry`,
+exposed as ``node.counters``, and call sites count through its
+``incr``/``get``/``as_dict`` shorthand.
 
 Metric names are ``/``-separated paths (``faults/injected/drop``,
 ``ops/sspright/copy``, ``autoscale/fn-1/concurrency``); the OpenMetrics
@@ -147,10 +147,22 @@ class MetricsRegistry:
         return sorted(self._metrics)
 
     def counters(self) -> Iterable[CounterMetric]:
-        """All counters, in registration order (matches legacy dict order)."""
+        """All counters, in registration (first-increment) order."""
         return (m for m in self._metrics.values() if isinstance(m, CounterMetric))
 
-    def counter_values(self) -> dict[str, int]:
+    def incr(self, name: str, amount: int = 1) -> None:
+        """Add ``amount`` to counter ``name`` (created on first use)."""
+        self.counter(name).incr(amount)
+
+    def get(self, name: str) -> int:
+        """A counter's value; 0, without creating it, when absent."""
+        metric = self._metrics.get(name)
+        if isinstance(metric, CounterMetric):
+            return int(metric.value)
+        return 0
+
+    def as_dict(self) -> dict[str, int]:
+        """Every counter's value, in first-increment order."""
         return {m.name: int(m.value) for m in self.counters()}
 
     def sum_counters(self, prefix: str, suffix: str = "") -> int:
@@ -185,27 +197,3 @@ class MetricsRegistry:
 
         return render_openmetrics(self, prefix=prefix, labels=labels)
 
-
-class LegacyCounters:
-    """``stats.Counter``-shaped facade over a registry's counter metrics.
-
-    Keeps every existing ``node.counters.incr(...)`` call site working while
-    routing the counts into the registry (and thus the OpenMetrics export).
-    ``get`` is non-creating and ``as_dict`` preserves first-increment order,
-    matching the ``defaultdict`` semantics of the class it replaces.
-    """
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.registry = registry
-
-    def incr(self, name: str, amount: int = 1) -> None:
-        self.registry.counter(name).incr(amount)
-
-    def get(self, name: str) -> int:
-        metric = self.registry.find(name)
-        if isinstance(metric, CounterMetric):
-            return int(metric.value)
-        return 0
-
-    def as_dict(self) -> dict[str, int]:
-        return self.registry.counter_values()

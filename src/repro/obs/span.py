@@ -1,12 +1,14 @@
 """Causal span tracing: parent/child spans over the simulated request path.
 
-The tracer layers structure onto the flat ``(name, stamp)`` milestone
-timeline: every traced request gets a **root span** covering its whole
-lifetime, the gaps between consecutive milestones become contiguous **phase
-spans** (children of the root, named after the milestone that closes them),
-and dataplanes open explicit child spans (kernel legs, eBPF program runs,
-shared-memory ring operations) inside the current phase. Because phases
-tile the root exactly, the span tree always covers the request's wall time.
+The tracer turns the milestones a request is stamped with
+(``Request.mark``) into a span tree: every traced request gets a **root
+span** covering its whole lifetime, the gaps between consecutive milestones
+become contiguous **phase spans** (children of the root, named after the
+milestone that closes them), and dataplanes open explicit child spans
+(kernel legs, eBPF program runs, shared-memory ring operations) inside the
+current phase. Because phases tile the root exactly, the span tree always
+covers the request's wall time. The span tree is the only per-request
+timing record; :mod:`repro.stats.tracing` derives waterfalls from it.
 
 Determinism: tracing makes zero RNG draws and schedules zero simulation
 events — it only records timestamps the simulation produced anyway — so a
@@ -104,12 +106,12 @@ class Tracer:
         return root
 
     def on_mark(self, request, milestone: str, now: float) -> None:
-        """A timeline milestone: close the open phase, open the next one.
+        """A milestone: close the open phase, open the next one.
 
         Out-of-order stamps (a milestone earlier than the previous one) are
-        clamped to the phase start and flagged, mirroring the waterfall's
-        treatment; the next phase then begins at the clamped boundary so
-        phases stay contiguous and non-overlapping.
+        clamped to the phase start and flagged ``out_of_order`` (waterfalls
+        render them as ``!`` markers); the next phase then begins at the
+        clamped boundary so phases stay contiguous and non-overlapping.
         """
         state = self._state_for(request)
         if state is None:

@@ -36,7 +36,7 @@ from ..dataplane.base import Request, ShedError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simcore import Environment
-    from ..stats import Counter
+    from ..obs.metrics import MetricsRegistry
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ class AdmissionController:
         self,
         env: "Environment",
         policy: AdmissionPolicy,
-        counter: Optional["Counter"] = None,
+        counter: Optional["MetricsRegistry"] = None,
         scope: str = "",
     ) -> None:
         self.env = env

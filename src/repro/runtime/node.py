@@ -65,7 +65,7 @@ class WorkerNode:
         self.clock = NodeClock(self.env)
         self.recorder = LatencyRecorder()
         # Observability bundle (repro.obs): the metrics registry is always
-        # on and backs node.counters; tracing/profiling follow the process
+        # on and is node.counters; tracing/profiling follow the process
         # defaults (the CLI's --trace/--profile) unless enabled per node.
         self.obs = Observability(self.env, label=name)
         trace_default, profile_default = default_observe()
@@ -73,7 +73,7 @@ class WorkerNode:
             self.obs.enable_tracing()
         if profile_default:
             self.obs.enable_profiling(self.cpu.accounting)
-        self.counters = self.obs.counters
+        self.counters = self.obs.registry
         self.faults = FaultInjector(self)
         self.devices.faults = self.faults
         # Pod instance ids are node-scoped (not module-global) so a run's

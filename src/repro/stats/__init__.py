@@ -1,7 +1,6 @@
 """Measurement: latency recorders, summaries, CDFs, time series, tables."""
 
 from .recorder import (
-    Counter,
     LatencyRecorder,
     LatencySummary,
     SlidingWindowRate,
@@ -13,18 +12,9 @@ from .recorder import (
 )
 from .export import read_json, series_to_rows, write_csv, write_json
 from .tables import format_table, ms, pct
-from .tracing import (
-    Segment,
-    overhead_time,
-    segments,
-    service_time,
-    span_waterfall,
-    spans_to_timeline,
-    waterfall,
-)
+from .tracing import overhead_time, service_time, waterfall
 
 __all__ = [
-    "Counter",
     "LatencyRecorder",
     "LatencySummary",
     "SlidingWindowRate",
@@ -40,11 +30,7 @@ __all__ = [
     "percentile_cells_ms",
     "summarize",
     "window_percentile_cells_ms",
-    "Segment",
     "overhead_time",
-    "segments",
     "service_time",
-    "span_waterfall",
-    "spans_to_timeline",
     "waterfall",
 ]

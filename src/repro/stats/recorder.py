@@ -231,22 +231,6 @@ def window_percentile_cells_ms(
     return tuple(values[name] * 1e3 for name in which)
 
 
-class Counter:
-    """A named monotonic counter set (drops, retries, scale events, ...)."""
-
-    def __init__(self) -> None:
-        self._counts: dict[str, int] = defaultdict(int)
-
-    def incr(self, name: str, amount: int = 1) -> None:
-        self._counts[name] += amount
-
-    def get(self, name: str) -> int:
-        return self._counts.get(name, 0)
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self._counts)
-
-
 class SlidingWindowRate:
     """Request rate over a sliding window (autoscaler + load balancer input)."""
 

@@ -1,167 +1,120 @@
-"""Per-request timeline analysis: where did the milliseconds go?
+"""Per-request timing views over a traced request's span tree.
 
-Requests created with ``request.enable_timeline()`` collect milestone
-timestamps as they traverse a dataplane (ingress, broker/gateway, per-
-function delivery and completion, response). These helpers turn the raw
-timeline into per-segment durations and rendered waterfalls — the tool you
-reach for when a chain's tail latency needs explaining.
+A traced request (``node.obs.enable_tracing()``) owns a root span whose
+*phase* children tile its lifetime, one per milestone (ingress, broker/
+gateway, per-function delivery and completion, response), plus zero-
+duration *event* children for fault/resilience activity. These helpers
+take one request's root and its direct children (``Tracer.children_index()
+[root.sid]``, any order) and answer "where did the milliseconds go?" —
+service vs dataplane time, an ASCII waterfall, and the dashboard's rows.
+
+The tracer already clamps out-of-order stamps (a milestone earlier than
+the previous one) to a zero-duration phase flagged ``out_of_order``; the
+views render those as ``!`` markers, never as bars.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 
-@dataclass
-class Segment:
-    """One leg of a request's journey."""
-
-    name: str
-    start: float
-    duration: float
-    # A milestone stamped *earlier* than the previous one (interleaved
-    # hedge attempts, clock surgery in tests) cannot be a real leg: the
-    # segment is clamped to zero duration and flagged instead of carrying
-    # a negative duration downstream.
-    out_of_order: bool = False
+def _phases(spans: Sequence) -> list:
+    """The closed phase spans, in timeline order."""
+    return sorted(
+        (
+            span
+            for span in spans
+            if span.category == "phase" and span.end is not None
+        ),
+        key=lambda span: (span.start, span.sid),
+    )
 
 
-def segments(timeline: Sequence[tuple[str, float]], created_at: float) -> list[Segment]:
-    """Milestone list -> ordered segments (each ends at its milestone).
-
-    Out-of-order stamps are clamped: the segment gets zero duration, its
-    ``out_of_order`` flag is set, and the cursor stays at the latest time
-    seen so later in-order segments keep their true durations.
-    """
-    out = []
-    previous = created_at
-    for name, stamp in timeline:
-        if stamp < previous:
-            out.append(
-                Segment(name=name, start=previous, duration=0.0, out_of_order=True)
-            )
-        else:
-            out.append(Segment(name=name, start=previous, duration=stamp - previous))
-            previous = stamp
-    return out
+def _end_offset(root, phases: list) -> float:
+    """Seconds from the root's start to the end of its last phase."""
+    last = phases[-1]
+    return last.start + last.duration - root.start
 
 
-def service_time(timeline: Sequence[tuple[str, float]]) -> float:
+def service_time(spans: Sequence) -> float:
     """Total time inside function service (deliver:* -> served:* pairs)."""
     total = 0.0
     deliveries: dict[str, list[float]] = {}
-    for name, stamp in timeline:
-        if name.startswith("deliver:"):
-            deliveries.setdefault(name.split(":", 1)[1], []).append(stamp)
-        elif name.startswith("served:"):
-            function = name.split(":", 1)[1]
-            stack = deliveries.get(function)
+    for span in _phases(spans):
+        if span.name.startswith("deliver:"):
+            deliveries.setdefault(span.name.split(":", 1)[1], []).append(span.end)
+        elif span.name.startswith("served:"):
+            stack = deliveries.get(span.name.split(":", 1)[1])
             if stack:
-                total += stamp - stack.pop(0)
+                total += span.end - stack.pop(0)
     return total
 
 
-def overhead_time(
-    timeline: Sequence[tuple[str, float]], created_at: float, completed_at: float
-) -> float:
+def overhead_time(root, spans: Sequence) -> float:
     """Everything that is not function service: the dataplane's share."""
-    return (completed_at - created_at) - service_time(timeline)
+    return root.duration - service_time(spans)
 
 
-def waterfall(
-    timeline: Sequence[tuple[str, float]],
-    created_at: float,
-    width: int = 50,
-) -> str:
-    """ASCII waterfall of one request's segments."""
-    parts = segments(timeline, created_at)
-    if not parts:
+def waterfall(root, spans: Sequence, width: int = 50) -> str:
+    """ASCII waterfall of one request's phases."""
+    phases = _phases(spans)
+    if not phases:
         return "(empty timeline)"
-    total = parts[-1].start + parts[-1].duration - created_at
+    total = _end_offset(root, phases)
     if total <= 0:
         return "(zero-duration timeline)"
     lines = []
-    for segment in parts:
-        offset = int((segment.start - created_at) / total * width)
-        if segment.out_of_order:
+    for span in phases:
+        offset = int((span.start - root.start) / total * width)
+        if span.attrs.get("out_of_order"):
             # Not a real leg: render an explicit marker, never a fake bar.
             bar = " " * offset + "!"
             lines.append(
-                f"{segment.name:20s} {bar:<{width + 2}s} "
-                f"{segment.duration * 1e6:9.1f} us (out-of-order)"
+                f"{span.name:20s} {bar:<{width + 2}s} "
+                f"{span.duration * 1e6:9.1f} us (out-of-order)"
             )
             continue
-        length = max(1, int(segment.duration / total * width))
+        length = max(1, int(span.duration / total * width))
         bar = " " * offset + "#" * length
         lines.append(
-            f"{segment.name:20s} {bar:<{width + 2}s} {segment.duration * 1e6:9.1f} us"
+            f"{span.name:20s} {bar:<{width + 2}s} {span.duration * 1e6:9.1f} us"
         )
     lines.append(f"{'total':20s} {'':{width + 2}s} {total * 1e6:9.1f} us")
     return "\n".join(lines)
 
 
-def waterfall_rows(
-    timeline: Sequence[tuple[str, float]], created_at: float
-) -> list[dict]:
+def waterfall_rows(root, spans: Sequence) -> list[dict]:
     """The waterfall as structured rows — the SSE dashboard's wire shape.
 
-    Each row carries the same information the ASCII renderer draws: name,
-    start offset and duration (seconds, relative to ``created_at``), the
-    fraction-of-total geometry for drawing bars, and the marker — ``#`` for
-    a real leg, ``!`` for a clamped out-of-order stamp (mirroring
-    :func:`waterfall`; a client must never render a fake bar for those).
+    Each phase row carries what :func:`waterfall` draws: name, start
+    offset and duration (seconds, relative to the root's start), the
+    fraction-of-total geometry for drawing bars, and the marker — ``#``
+    for a real leg, ``!`` for a clamped out-of-order stamp (a client must
+    never render a fake bar for those). Event spans (fault injections,
+    retries, hedges) follow as zero-width ``!`` rows of kind ``event``, so
+    the live view shows resilience activity inline with the legs.
     """
-    parts = segments(timeline, created_at)
-    if not parts:
-        return []
-    total = parts[-1].start + parts[-1].duration - created_at
+    phases = _phases(spans)
     rows = []
-    for segment in parts:
-        offset = segment.start - created_at
+    total = _end_offset(root, phases) if phases else 0.0
+    for span in phases:
+        offset = span.start - root.start
+        out_of_order = bool(span.attrs.get("out_of_order"))
         rows.append(
             {
-                "name": segment.name,
+                "name": span.name,
                 "kind": "phase",
                 "start_s": offset,
-                "duration_s": segment.duration,
+                "duration_s": span.duration,
                 "offset_frac": (offset / total) if total > 0 else 0.0,
-                "width_frac": (segment.duration / total) if total > 0 else 0.0,
-                "out_of_order": segment.out_of_order,
-                "marker": "!" if segment.out_of_order else "#",
+                "width_frac": (span.duration / total) if total > 0 else 0.0,
+                "out_of_order": out_of_order,
+                "marker": "!" if out_of_order else "#",
             }
         )
-    return rows
-
-
-def span_waterfall_rows(root, spans: Sequence) -> list[dict]:
-    """One traced request's waterfall rows, from its span tree.
-
-    Phase spans become the :func:`waterfall_rows` legs; zero-duration
-    *event* spans (fault injections, retries, hedges — category
-    ``"event"``) are appended as explicit zero-width marker rows (marker
-    ``!``) so the live view shows resilience activity inline with the
-    request's legs instead of silently dropping it.
-
-    Stamps the tracer already clamped keep their ``!`` marker too: the
-    tracer stores monotonic (clamped) phase boundaries, so re-deriving
-    order from the timeline alone would silently launder an out-of-order
-    stamp into an innocent zero-width leg — the phase span's own
-    ``out_of_order`` attribute is the surviving evidence, folded back in.
-    """
-    phases = sorted(
-        (span for span in spans if getattr(span, "category", None) == "phase"),
-        key=lambda span: (span.start, span.sid),
-    )
-    phases = [span for span in phases if span.end is not None]
-    rows = waterfall_rows([(span.name, span.end) for span in phases], root.start)
-    for row, span in zip(rows, phases):
-        if span.attrs.get("out_of_order"):
-            row["out_of_order"] = True
-            row["marker"] = "!"
     total = root.duration
     events = sorted(
-        (span for span in spans if getattr(span, "category", None) == "event"),
+        (span for span in spans if span.category == "event"),
         key=lambda span: (span.start, span.sid),
     )
     for span in events:
@@ -179,21 +132,3 @@ def span_waterfall_rows(root, spans: Sequence) -> list[dict]:
             }
         )
     return rows
-
-
-def spans_to_timeline(spans: Sequence) -> list[tuple[str, float]]:
-    """Phase spans (repro.obs) -> the flat (name, stamp) milestone timeline.
-
-    Keeps :func:`waterfall` working on top of span trees: feed it the phase
-    children of one request's root span (any iteration order).
-    """
-    phases = sorted(
-        (span for span in spans if getattr(span, "category", None) == "phase"),
-        key=lambda span: (span.start, span.sid),
-    )
-    return [(span.name, span.end) for span in phases if span.end is not None]
-
-
-def span_waterfall(root, spans: Sequence, width: int = 50) -> str:
-    """ASCII waterfall of one traced request, from its span tree."""
-    return waterfall(spans_to_timeline(spans), root.start, width=width)

@@ -21,13 +21,24 @@ from repro.runtime import FunctionSpec, Kubelet, WorkerNode
 from repro.simcore import DeliveryError
 
 
-def make_request(timeline: bool = True) -> Request:
-    request = Request(
+def make_request() -> Request:
+    return Request(
         request_class=RequestClass(name="t", sequence=["f"], payload_size=8),
         payload=b"x" * 8,
         created_at=0.0,
     )
-    return request.enable_timeline() if timeline else request
+
+
+def traced(node, request: Request) -> Request:
+    """Open a root span for a request driven without Dataplane.submit."""
+    node.obs.enable_tracing().start_request(request, "t")
+    return request
+
+
+def milestones(request: Request) -> list[str]:
+    """Names of the request root's children (phases and event markers)."""
+    tracer = request.tracer
+    return [span.name for span in tracer.spans if span.parent == request.span.sid]
 
 
 # -- plan validation ---------------------------------------------------------------
@@ -315,14 +326,14 @@ def run_execute(node, plane, policy, request):
 def test_retries_recover_from_transient_faults():
     node = WorkerNode()
     plane = FlakyPlane(node, fail_times=2)
-    request = make_request()
+    request = traced(node, make_request())
     run_execute(node, plane, ResiliencePolicy(retries=3), request)
     assert not request.failed
     assert request.response == b"ok"
     assert plane.calls == 3
     assert node.counters.get("faults/resilience/retry") == 2
-    milestones = [name for name, _ in request.timeline]
-    assert "retry:1" in milestones and "retry:2" in milestones
+    names = milestones(request)
+    assert "retry:1" in names and "retry:2" in names
 
 
 def test_retry_budget_exhaustion_fails_request():
@@ -358,15 +369,15 @@ def test_hedge_wins_when_primary_is_slow():
             request.completed_at = self.node.env.now
 
     plane = SlowThenFast(node)
-    request = make_request()
+    request = traced(node, make_request())
     run_execute(node, plane, ResiliencePolicy(hedge_delay=0.01), request)
     assert not request.failed
     assert request.response == b"ok"
     assert request.completed_at < 0.5  # the hedge, not the 1 s primary
     assert node.counters.get("faults/resilience/hedge") == 1
     assert node.counters.get("faults/resilience/hedge_win") == 1
-    milestones = [name for name, _ in request.timeline]
-    assert "hedge:launch" in milestones and "hedge:win" in milestones
+    names = milestones(request)
+    assert "hedge:launch" in names and "hedge:win" in names
 
 
 def test_breaker_fails_fast_after_consecutive_failures():

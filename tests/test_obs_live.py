@@ -28,7 +28,7 @@ from repro.obs.profiler import CpuProfiler
 from repro.obs.slo import SloTarget
 from repro.runtime import WorkerNode
 from repro.simcore import Environment
-from repro.stats.tracing import span_waterfall_rows
+from repro.stats.tracing import waterfall_rows
 
 GOLDEN_FOLDED = Path(__file__).parent / "goldens" / "profiler.folded.txt"
 
@@ -278,7 +278,7 @@ def test_span_waterfall_rows_clamp_out_of_order_and_mark_events():
     children = [
         span for span in tracer.finished_spans() if span.parent == root.sid
     ]
-    rows = span_waterfall_rows(root, children)
+    rows = waterfall_rows(root, children)
     by_name = {row["name"]: row for row in rows}
     # The clamped milestone renders as a "!" marker, never a fake bar.
     warped = by_name["warped"]

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.obs import (
-    LegacyCounters,
-    MetricsRegistry,
-    log_bucket_bounds,
-    sanitize_metric_name,
-)
-from repro.stats import Counter as LegacyStatsCounter
+from repro.obs import MetricsRegistry, log_bucket_bounds, sanitize_metric_name
 
 
 # -- naming -------------------------------------------------------------------
@@ -148,12 +142,11 @@ def test_render_openmetrics_unlabeled_matches_registry_method():
     assert render_openmetrics(registry) == registry.render_openmetrics()
 
 
-# -- legacy facade ------------------------------------------------------------
+# -- incr/get/as_dict shorthand ------------------------------------------------
 
 def test_legacy_counters_match_stats_counter():
-    """The registry facade behaves exactly like the old stats.Counter."""
-    old = LegacyStatsCounter()
-    new = LegacyCounters(MetricsRegistry())
+    """The registry's shorthand keeps the old stats.Counter semantics."""
+    registry = MetricsRegistry()
     operations = [
         ("kn/cold_starts", 1),
         ("faults/failed/crash", 2),
@@ -161,11 +154,18 @@ def test_legacy_counters_match_stats_counter():
         ("spright/descriptors_dropped", 1),
     ]
     for name, amount in operations:
-        old.incr(name, amount)
-        new.incr(name, amount)
-    assert new.as_dict() == old.as_dict()
-    assert list(new.as_dict()) == list(old.as_dict())  # insertion order too
-    assert new.get("kn/cold_starts") == old.get("kn/cold_starts") == 4
+        registry.incr(name, amount)
+    registry.gauge("autoscale/fn/concurrency").set(7)  # not a counter
+    expected = {
+        "kn/cold_starts": 4,
+        "faults/failed/crash": 2,
+        "spright/descriptors_dropped": 1,
+    }
+    assert registry.as_dict() == expected
+    assert list(registry.as_dict()) == list(expected)  # first-increment order
+    assert registry.get("kn/cold_starts") == 4
     # get() never creates (exactly like a dict .get default).
-    assert new.get("never/seen") == 0
-    assert "never/seen" not in new.as_dict()
+    assert registry.get("never/seen") == 0
+    assert "never/seen" not in registry.as_dict()
+    assert registry.find("never/seen") is None
+    assert registry.get("autoscale/fn/concurrency") == 0

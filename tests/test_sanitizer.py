@@ -27,15 +27,15 @@ from repro.mem import (
     default_sanitize,
     set_default_sanitize,
 )
+from repro.obs import MetricsRegistry
 from repro.runtime import FunctionSpec, WorkerNode
-from repro.stats import Counter
 
 
 def make_sanitized_pool(**kwargs):
     defaults = dict(name="p", file_prefix="pfx", buffer_size=128, capacity=4)
     defaults.update(kwargs)
     pool = SharedMemoryPool(**defaults)
-    sanitizer = PoolSanitizer(counter=Counter())
+    sanitizer = PoolSanitizer(counter=MetricsRegistry())
     pool.attach_sanitizer(sanitizer)
     return pool, sanitizer
 
@@ -169,7 +169,7 @@ def test_teardown_reports_leak_with_allocation_site():
     registry = PoolRegistry()
     manager = SharedMemoryManager(registry, "chain-leaky")
     memory = manager.initialize(capacity=8)
-    sanitizer = PoolSanitizer(counter=Counter())
+    sanitizer = PoolSanitizer(counter=MetricsRegistry())
     memory.pool.attach_sanitizer(sanitizer)
 
     leaked = memory.pool.alloc(site="gateway/handle_request")
@@ -190,7 +190,7 @@ def test_clean_teardown_reports_zero_leaks():
     registry = PoolRegistry()
     manager = SharedMemoryManager(registry, "chain-clean")
     memory = manager.initialize(capacity=8)
-    sanitizer = PoolSanitizer(counter=Counter())
+    sanitizer = PoolSanitizer(counter=MetricsRegistry())
     memory.pool.attach_sanitizer(sanitizer)
     handle = memory.pool.alloc(site="gateway")
     memory.pool.free(handle)

@@ -1,9 +1,8 @@
-"""Tests for the measurement layer: percentiles, CDFs, series, counters."""
+"""Tests for the measurement layer: percentiles, CDFs, series, windows."""
 
 import pytest
 
 from repro.stats import (
-    Counter,
     LatencyRecorder,
     SlidingWindowRate,
     confidence_interval_99,
@@ -105,15 +104,6 @@ def test_recorder_latency_series_means():
     series = dict(recorder.latency_series(bucket=1.0))
     assert series[0.0] == pytest.approx(0.020)
     assert series[1.0] == pytest.approx(0.050)
-
-
-def test_counter():
-    counter = Counter()
-    counter.incr("drops")
-    counter.incr("drops", 4)
-    assert counter.get("drops") == 5
-    assert counter.get("unknown") == 0
-    assert counter.as_dict() == {"drops": 5}
 
 
 def test_sliding_window_rate():
