@@ -96,14 +96,16 @@ class SproxySocket:
         bundle.context_switch(trace, stage)
         bundle.compute(costs.ebpf_run(run.insns_executed))
         bundle.interrupt(trace, stage)  # sender-side completion softirq
-        if run.verdict != SK_PASS or run.scratch.redirect_endpoint is None:
+        # The helpers record the redirect target in this run's scratch.
+        endpoint = scratch.redirect_endpoint
+        if run.verdict != SK_PASS or endpoint is None:
             yield bundle.commit()
             self.descriptors_dropped += 1
             self.node.counters.incr("spright/descriptors_dropped")
             return False
         bundle.compute(costs.sockmap_redirect)
         yield bundle.commit()
-        run.scratch.redirect_endpoint.deliver_descriptor(item)
+        endpoint.deliver_descriptor(item)
         self.descriptors_sent += 1
         return True
 

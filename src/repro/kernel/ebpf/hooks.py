@@ -20,19 +20,16 @@ class HookError(Exception):
     """Bad attach/detach operations."""
 
 
-@dataclass
+@dataclass(slots=True)
 class HookRun:
     """Aggregate outcome of firing a hook: last verdict + total work done."""
 
     results: list[RunResult]
+    insns_executed: int
 
     @property
     def verdict(self) -> int:
         return self.results[-1].return_value if self.results else 0
-
-    @property
-    def insns_executed(self) -> int:
-        return sum(result.insns_executed for result in self.results)
 
     @property
     def scratch(self) -> Optional[Scratch]:
@@ -72,9 +69,15 @@ class HookPoint:
 
     def fire(self, data: bytes = b"", scratch: Optional[Scratch] = None) -> HookRun:
         """Run all attached programs on an event. No programs -> no work."""
-        scratch = scratch or Scratch(map_registry=self.vm.map_registry)
-        results = [self.vm.run(program, data=data, scratch=scratch) for program in self.programs]
-        run = HookRun(results=results)
+        if scratch is None:
+            scratch = Scratch(map_registry=self.vm.map_registry)
+        run_program = self.vm.run
+        results = []
+        insns = 0
+        for program in self.programs:
+            result = run_program(program, data, scratch)
+            results.append(result)
+            insns += result.insns_executed
         self.fire_count += 1
-        self.total_insns += run.insns_executed
-        return run
+        self.total_insns += insns
+        return HookRun(results, insns)

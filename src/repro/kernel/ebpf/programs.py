@@ -24,6 +24,8 @@ Metric slots in the EPROXY/SPROXY array maps::
 
 from __future__ import annotations
 
+import struct
+
 from .assembler import Assembler
 from .isa import (
     Program,
@@ -38,7 +40,6 @@ from .isa import (
     SK_PASS,
     TC_ACT_OK,
     TC_ACT_REDIRECT,
-    XDP_DROP,
     XDP_PASS,
     XDP_REDIRECT,
 )
@@ -178,6 +179,10 @@ def tc_fib_forward(name: str = "tc_forward") -> Program:
     return asm.build(ProgramType.TC)
 
 
+_DESCRIPTOR_CTX = struct.Struct("<IQIII")
+_PACKET_CTX = struct.Struct("<II8x")
+
+
 def encode_descriptor_ctx(
     next_fn_id: int,
     shm_offset: int,
@@ -186,43 +191,15 @@ def encode_descriptor_ctx(
     generation: int = 0,
 ) -> bytes:
     """Build the 24-byte SK_MSG context for one descriptor send."""
-    return (
-        next_fn_id.to_bytes(4, "little")
-        + shm_offset.to_bytes(8, "little")
-        + payload_len.to_bytes(4, "little")
-        + sender_id.to_bytes(4, "little")
-        + generation.to_bytes(4, "little")
-    )
+    try:
+        return _DESCRIPTOR_CTX.pack(next_fn_id, shm_offset, payload_len, sender_id, generation)
+    except struct.error as error:  # a field does not fit its width
+        raise OverflowError(str(error)) from None
 
 
 def encode_packet_ctx(pkt_len: int, ingress_ifindex: int) -> bytes:
     """Build the 16-byte XDP/TC context for one frame."""
-    return (
-        pkt_len.to_bytes(4, "little")
-        + ingress_ifindex.to_bytes(4, "little")
-        + b"\x00" * 8
-    )
-
-
-def xdp_rate_limiter(
-    counter_fd: int, limit_per_window: int, name: str = "xdp_ratelimit"
-) -> Program:
-    """XDP ingress rate limiter: drop frames beyond a per-window budget.
-
-    The window counter lives in an array map (slot 0) that userspace resets
-    every interval — the split of fast-path counting (kernel) and slow-path
-    policy (userspace) real limiters use. Returns ``XDP_DROP`` once the
-    budget is spent, ``XDP_PASS`` otherwise.
-    """
-    asm = Assembler(name)
-    asm.mov_imm(R1, counter_fd)
-    asm.mov_imm(R2, METRIC_SLOT_COUNT)
-    asm.mov_imm(R3, 1)
-    asm.call(HELPER_ARRAY_ADD)              # R0 = ++window counter
-    asm.jgt_imm(R0, limit_per_window, "over")
-    asm.mov_imm(R0, XDP_PASS)
-    asm.exit_()
-    asm.label("over")
-    asm.mov_imm(R0, XDP_DROP)
-    asm.exit_()
-    return asm.build(ProgramType.XDP)
+    try:
+        return _PACKET_CTX.pack(pkt_len, ingress_ifindex)
+    except struct.error as error:
+        raise OverflowError(str(error)) from None

@@ -1,4 +1,7 @@
-"""The eBPF interpreter and helper-function ABI.
+"""The eBPF VM: compile-after-verify execution and the helper-function ABI.
+
+Like the kernel's JIT, a program is verified and then compiled once, on its
+first run; later runs call the compiled Python function directly.
 
 Memory model: one flat little-endian byte array per invocation, laid out as
 ``[context/data region][stack]``. R1 enters pointing at offset 0 (the context)
@@ -12,6 +15,8 @@ points learn what the program decided.
 
 from __future__ import annotations
 
+import struct
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -32,8 +37,10 @@ from .isa import (
     XDP_REDIRECT,
 )
 from .maps import ArrayMap, MapRegistry, SockMap
+from .verifier import MAX_INSNS, verify
 
 MAX_RUNTIME_INSNS = 100_000
+_STACK = bytes(STACK_SIZE)
 
 # Helper IDs (Linux values where they exist).
 HELPER_MAP_LOOKUP = 1
@@ -54,7 +61,7 @@ class VmFault(Exception):
     """Runtime fault (out-of-bounds access, bad helper, insn limit)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Scratch:
     """Per-invocation helper context and side-effect channel."""
 
@@ -68,7 +75,7 @@ class Scratch:
     prandom_state: int = 0x9E3779B9
 
 
-@dataclass
+@dataclass(slots=True)
 class RunResult:
     """Outcome of one program execution."""
 
@@ -78,65 +85,153 @@ class RunResult:
     memory: bytearray
 
 
-def _u64(value: int) -> int:
-    return value & WORD_MASK
+# -- compilation -------------------------------------------------------------
+# The verifier admits forward jumps only, so a program is a DAG of basic
+# blocks. Each distinct program is compiled once into a Python function
+# ``(memory, scratch, helpers) -> (r0, insns_executed)``: registers are
+# locals, every block is one ``if pc == <start>:`` section in program order,
+# and every block adds its length to the executed count. Loads and stores
+# keep their runtime bounds check; a helper is looked up in the Vm's table
+# when its call is reached. Register values stay in [0, 2**64), so masks are
+# emitted only where an operation can leave that range.
 
+# A verified run executes each instruction at most once.
+assert MAX_INSNS < MAX_RUNTIME_INSNS
 
-# -- precompilation ---------------------------------------------------------
-# The interpreter hot loop dispatches on small integers rather than Op enum
-# members; each Program is lowered once and cached. Categories:
-_CAT_EXIT, _CAT_CALL, _CAT_JA, _CAT_JMP, _CAT_LOAD, _CAT_STORE, _CAT_ALU = range(7)
-
-_JMP_CODES = {
-    Op.JEQ_IMM: 0, Op.JEQ_REG: 1, Op.JNE_IMM: 2, Op.JNE_REG: 3,
-    Op.JGT_IMM: 4, Op.JGE_IMM: 5, Op.JLT_IMM: 6, Op.JLE_IMM: 7,
-    Op.JSET_IMM: 8,
+_MASK = hex(WORD_MASK)
+_ALU_SOURCE = {
+    Op.MOV_IMM: "{d} = {c}",
+    Op.MOV_REG: "{d} = {s}",
+    Op.ADD_IMM: "{d} = ({d} + {i}) & {m}",
+    Op.ADD_REG: "{d} = ({d} + {s}) & {m}",
+    Op.SUB_IMM: "{d} = ({d} - {i}) & {m}",
+    Op.SUB_REG: "{d} = ({d} - {s}) & {m}",
+    Op.MUL_IMM: "{d} = ({d} * {i}) & {m}",
+    Op.MUL_REG: "{d} = ({d} * {s}) & {m}",
+    Op.DIV_IMM: "{d} = ({d} // {i}) & {m}",
+    Op.DIV_REG: "{d} = {d} // {s} if {s} else 0",
+    Op.MOD_IMM: "{d} = ({d} % {i}) & {m}",
+    Op.MOD_REG: "{d} = {d} % {s} if {s} else {d}",
+    Op.AND_IMM: "{d} &= {c}",
+    Op.AND_REG: "{d} &= {s}",
+    Op.OR_IMM: "{d} |= {c}",
+    Op.OR_REG: "{d} |= {s}",
+    Op.XOR_IMM: "{d} ^= {c}",
+    Op.XOR_REG: "{d} ^= {s}",
+    Op.LSH_IMM: "{d} = ({d} << {i}) & {m}",
+    Op.RSH_IMM: "{d} >>= {i}",
+    Op.NEG: "{d} = -{d} & {m}",
 }
-_ALU_CODES = {
-    Op.MOV_IMM: 0, Op.MOV_REG: 1, Op.ADD_IMM: 2, Op.ADD_REG: 3,
-    Op.SUB_IMM: 4, Op.SUB_REG: 5, Op.MUL_IMM: 6, Op.MUL_REG: 7,
-    Op.DIV_IMM: 8, Op.DIV_REG: 9, Op.MOD_IMM: 10, Op.MOD_REG: 11,
-    Op.AND_IMM: 12, Op.AND_REG: 13, Op.OR_IMM: 14, Op.OR_REG: 15,
-    Op.XOR_IMM: 16, Op.XOR_REG: 17, Op.LSH_IMM: 18, Op.RSH_IMM: 19,
-    Op.NEG: 20,
+_JUMP_SOURCE = {
+    Op.JEQ_IMM: "{d} == {c}",
+    Op.JEQ_REG: "{d} == {s}",
+    Op.JNE_IMM: "{d} != {c}",
+    Op.JNE_REG: "{d} != {s}",
+    Op.JGT_IMM: "{d} > {c}",
+    Op.JGE_IMM: "{d} >= {c}",
+    Op.JLT_IMM: "{d} < {c}",
+    Op.JLE_IMM: "{d} <= {c}",
+    Op.JSET_IMM: "{d} & {c}",
 }
-_LOAD_CODES = {Op.LD8: 1, Op.LD16: 2, Op.LD32: 4, Op.LD64: 8}
-_STORE_CODES = {Op.ST8: 1, Op.ST16: 2, Op.ST32: 4, Op.ST64: 8, Op.ST_IMM32: 4}
+_STRUCTS = {size: struct.Struct(f"<{code}") for size, code in zip((1, 2, 4, 8), "BHIQ")}
 
 
-def _lower(program: Program) -> list[tuple]:
-    """Lower a Program to (category, code, dst, src, off, imm) tuples."""
-    lowered = []
-    for insn in program.insns:
-        op = insn.op
-        if op is Op.EXIT:
-            lowered.append((_CAT_EXIT, 0, 0, 0, 0, 0))
-        elif op is Op.CALL:
-            lowered.append((_CAT_CALL, 0, 0, 0, 0, insn.imm))
-        elif op is Op.JA:
-            lowered.append((_CAT_JA, 0, 0, 0, insn.off, 0))
-        elif op in _JMP_CODES:
-            lowered.append(
-                (_CAT_JMP, _JMP_CODES[op], insn.dst, insn.src, insn.off, insn.imm)
-            )
-        elif op in _LOAD_CODES:
-            lowered.append(
-                (_CAT_LOAD, _LOAD_CODES[op], insn.dst, insn.src, insn.off, 0)
-            )
-        elif op in _STORE_CODES:
-            is_imm = 1 if op is Op.ST_IMM32 else 0
-            lowered.append(
-                (_CAT_STORE, (_STORE_CODES[op], is_imm), insn.dst, insn.src, insn.off, insn.imm)
-            )
+def _out_of_bounds(address: int, size: int) -> VmFault:
+    return VmFault(f"memory access [{address}, {address + size}) out of bounds")
+
+
+# Globals of every compiled program.
+_NAMESPACE = {
+    "VmFault": VmFault,
+    "_out_of_bounds": _out_of_bounds,
+    **{f"_load{size}": layout.unpack_from for size, layout in _STRUCTS.items()},
+    **{f"_store{size}": layout.pack_into for size, layout in _STRUCTS.items()},
+}
+
+
+def _insn_source(insn: Insn, call_regs: str) -> list[str]:
+    """Python statements for one non-branching instruction."""
+    op, d, s = insn.op, f"r{insn.dst}", f"r{insn.src}"
+    if op is Op.CALL:
+        return [
+            f"helper = helpers.get({insn.imm})",
+            f"if helper is None: raise VmFault('unknown helper id {insn.imm}')",
+            f"r0 = helper({call_regs}, memory, scratch) & {_MASK}",
+        ]
+    if op.is_load or op.is_store:
+        size = LOAD_SIZES[op] if op.is_load else STORE_SIZES[op]
+        base = s if op.is_load else d
+        address = f"({base} + {insn.off}) & {_MASK}" if insn.off else base
+        access = [
+            f"a = {address}",
+            f"if a + {size} > limit: raise _out_of_bounds(a, {size})",
+        ]
+        if op.is_load:
+            return access + [f"{d} = _load{size}(memory, a)[0]"]
+        low = (1 << (8 * size)) - 1
+        if op is Op.ST_IMM32:
+            value = str(insn.imm & low)
         else:
-            lowered.append(
-                (_CAT_ALU, _ALU_CODES[op], insn.dst, insn.src, insn.off, insn.imm)
+            value = s if size == 8 else f"{s} & {hex(low)}"
+        return access + [f"_store{size}(memory, a, {value})"]
+    return [_ALU_SOURCE[op].format(d=d, s=s, i=insn.imm, c=insn.imm & WORD_MASK, m=_MASK)]
+
+
+def compile_program(program: Program) -> Callable:
+    """Compile a verified program into ``(memory, scratch, helpers) -> (r0, n)``."""
+    insns = program.insns
+    count = len(insns)
+    leaders = {0}
+    for index, insn in enumerate(insns):
+        if insn.op.is_jump:
+            leaders.add(index + 1 + insn.off)
+        if insn.op.is_jump or insn.op is Op.EXIT:
+            leaders.add(index + 1)
+    starts = sorted(leaders - {count})
+    used = {R0, R1} | {insn.dst for insn in insns} | {insn.src for insn in insns}
+    used.discard(R10)
+    call_regs = "[" + ", ".join(
+        f"r{reg}" if reg in used or reg == R10 else "0" for reg in range(NUM_REGISTERS)
+    ) + "]"
+
+    lines = [
+        "def compiled(memory, scratch, helpers):",
+        "    limit = r10 = len(memory)",
+        "    " + " = ".join(f"r{reg}" for reg in sorted(used)) + " = 0",
+    ]
+    for start, end in zip(starts, starts[1:] + [count]):
+        indent = "    "
+        if start:
+            lines.append(f"    if pc == {start}:")
+            indent = "        "
+        body = [f"n {'+=' if start else '='} {end - start}"]
+        last = insns[end - 1]
+        for insn in insns[start:end - 1]:
+            body += _insn_source(insn, call_regs)
+        if last.op is Op.EXIT:
+            body.append("return r0, n")
+        elif last.op is Op.JA:
+            body.append(f"pc = {end + last.off}")
+        elif last.op.is_jump:
+            condition = _JUMP_SOURCE[last.op].format(
+                d=f"r{last.dst}", s=f"r{last.src}", c=last.imm & WORD_MASK
             )
-    return lowered
+            body.append(f"pc = {end + last.off} if {condition} else {end}")
+        else:
+            body += _insn_source(last, call_regs)
+            # Only an unreachable block can run off the end of the program.
+            body.append(
+                f"pc = {end}" if end < count else f"raise VmFault('pc {end} out of range')"
+            )
+        lines += [indent + statement for statement in body]
+
+    namespace = dict(_NAMESPACE)
+    exec(compile("\n".join(lines), f"<ebpf {program.name}>", "exec"), namespace)
+    return namespace["compiled"]
 
 
 class Vm:
-    """Interprets verified programs against a map registry."""
+    """Runs verified programs, each compiled once, against a map registry."""
 
     def __init__(self, map_registry: Optional[MapRegistry] = None) -> None:
         self.map_registry = map_registry or MapRegistry()
@@ -152,20 +247,29 @@ class Vm:
             HELPER_FIB_LOOKUP: self._helper_fib_lookup,
             HELPER_ARRAY_ADD: self._helper_array_add,
         }
+        # Keyed on content: every pod builds its own, identical SPROXY
+        # programs, and they share one compiled function.
+        self._compiled: dict[tuple[Insn, ...], Callable] = {}
+        # Per-object fast path (hashing instructions costs more than a run).
+        # The reference is weak and checked, so a new program that reuses a
+        # freed program's id never runs the freed program's code.
+        self._by_identity: dict[int, tuple[weakref.ref, Callable]] = {}
 
-        self._compiled: dict[int, list[tuple]] = {}
-
-    def register_helper(self, helper_id: int, fn: Callable) -> None:
-        """Install a custom helper (tests and extensions)."""
-        self._helpers[helper_id] = fn
-
-    def _compile(self, program: Program) -> list[tuple]:
+    def _load(self, program: Program) -> tuple[weakref.ref, Callable]:
+        """Verify and compile new content; remember this program object."""
+        function = self._compiled.get(program.insns)
+        if function is None:
+            verify(program)
+            function = self._compiled[program.insns] = compile_program(program)
         key = id(program)
-        lowered = self._compiled.get(key)
-        if lowered is None:
-            lowered = _lower(program)
-            self._compiled[key] = lowered
-        return lowered
+        table = self._by_identity
+
+        def forget(ref: weakref.ref) -> None:
+            if table.get(key, (None,))[0] is ref:
+                del table[key]
+
+        entry = table[key] = (weakref.ref(program, forget), function)
+        return entry
 
     # -- execution -----------------------------------------------------------
     def run(
@@ -174,147 +278,29 @@ class Vm:
         data: bytes = b"",
         scratch: Optional[Scratch] = None,
     ) -> RunResult:
-        """Execute ``program`` with ``data`` as its context region."""
-        scratch = scratch or Scratch(map_registry=self.map_registry)
-        if scratch.map_registry is None:
+        """Execute ``program`` with ``data`` as its context region.
+
+        The first run of a program verifies it (raising
+        :class:`VerifierError` if it is unsafe) and compiles it.
+        """
+        entry = self._by_identity.get(id(program))
+        if entry is None or entry[0]() is not program:
+            entry = self._load(program)
+        if scratch is None:
+            scratch = Scratch(map_registry=self.map_registry)
+        elif scratch.map_registry is None:
             scratch.map_registry = self.map_registry
-        memory = bytearray(data) + bytearray(STACK_SIZE)
-        mem_limit = len(memory)
-        regs = [0] * NUM_REGISTERS
-        regs[R1] = 0            # context pointer
-        regs[R10] = mem_limit   # frame pointer (top of stack)
-
-        lowered = self._compile(program)
-        program_len = len(lowered)
-        helpers = self._helpers
-        mask = WORD_MASK
-        pc = 0
-        executed = 0
-        while True:
-            if executed >= MAX_RUNTIME_INSNS:
-                raise VmFault("instruction limit exceeded")
-            if not 0 <= pc < program_len:
-                raise VmFault(f"pc {pc} out of range")
-            category, code, dst, src, off, imm = lowered[pc]
-            executed += 1
-
-            if category == _CAT_ALU:
-                value = regs[dst]
-                if code == 0:
-                    value = imm
-                elif code == 1:
-                    value = regs[src]
-                elif code == 2:
-                    value = value + imm
-                elif code == 3:
-                    value = value + regs[src]
-                elif code == 4:
-                    value = value - imm
-                elif code == 5:
-                    value = value - regs[src]
-                elif code == 6:
-                    value = value * imm
-                elif code == 7:
-                    value = value * regs[src]
-                elif code == 8:
-                    value = value // imm
-                elif code == 9:
-                    divisor = regs[src] & mask
-                    value = 0 if divisor == 0 else (value & mask) // divisor
-                elif code == 10:
-                    value = value % imm
-                elif code == 11:
-                    divisor = regs[src] & mask
-                    value = value if divisor == 0 else (value & mask) % divisor
-                elif code == 12:
-                    value = value & imm
-                elif code == 13:
-                    value = value & regs[src]
-                elif code == 14:
-                    value = value | imm
-                elif code == 15:
-                    value = value | regs[src]
-                elif code == 16:
-                    value = value ^ imm
-                elif code == 17:
-                    value = value ^ regs[src]
-                elif code == 18:
-                    value = value << imm
-                elif code == 19:
-                    value = (value & mask) >> imm
-                else:  # NEG
-                    value = -value
-                regs[dst] = value & mask
-                pc += 1
-                continue
-            if category == _CAT_LOAD:
-                address = (regs[src] + off) & mask
-                end = address + code
-                if end > mem_limit:
-                    raise VmFault(
-                        f"memory access [{address}, {end}) out of bounds"
-                    )
-                regs[dst] = int.from_bytes(memory[address:end], "little")
-                pc += 1
-                continue
-            if category == _CAT_STORE:
-                size, is_imm = code
-                address = (regs[dst] + off) & mask
-                end = address + size
-                if end > mem_limit:
-                    raise VmFault(
-                        f"memory access [{address}, {end}) out of bounds"
-                    )
-                value = imm if is_imm else regs[src]
-                memory[address:end] = (value & mask).to_bytes(8, "little")[:size]
-                pc += 1
-                continue
-            if category == _CAT_JMP:
-                dst_value = regs[dst] & mask
-                if code == 0:
-                    taken = dst_value == imm & mask
-                elif code == 1:
-                    taken = dst_value == regs[src] & mask
-                elif code == 2:
-                    taken = dst_value != imm & mask
-                elif code == 3:
-                    taken = dst_value != regs[src] & mask
-                elif code == 4:
-                    taken = dst_value > imm & mask
-                elif code == 5:
-                    taken = dst_value >= imm & mask
-                elif code == 6:
-                    taken = dst_value < imm & mask
-                elif code == 7:
-                    taken = dst_value <= imm & mask
-                else:
-                    taken = bool(dst_value & imm)
-                pc += 1 + (off if taken else 0)
-                continue
-            if category == _CAT_JA:
-                pc += 1 + off
-                continue
-            if category == _CAT_CALL:
-                helper = helpers.get(imm)
-                if helper is None:
-                    raise VmFault(f"unknown helper id {imm}")
-                regs[R0] = helper(regs, memory, scratch) & mask
-                pc += 1
-                continue
-            # _CAT_EXIT
-            return RunResult(
-                return_value=regs[R0] & mask,
-                insns_executed=executed,
-                scratch=scratch,
-                memory=memory,
-            )
+        memory = bytearray(data)
+        memory += _STACK
+        return_value, executed = entry[1](memory, scratch, self._helpers)
+        return RunResult(return_value, executed, scratch, memory)
 
     # -- helpers ---------------------------------------------------------------
     # ABI: helpers receive (regs, memory, scratch) and return the new R0.
     def _helper_map_lookup(self, regs, memory, scratch) -> int:
         """R1=map fd, R2=key -> value as u64 (0 means miss/NULL)."""
         bpf_map = scratch.map_registry.get(regs[R1])
-        value = bpf_map.lookup(_u64(regs[2]))
+        value = bpf_map.lookup(regs[2] & WORD_MASK)
         if value is None:
             return 0
         if isinstance(value, int):
@@ -324,22 +310,22 @@ class Vm:
     def _helper_map_update(self, regs, memory, scratch) -> int:
         """R1=map fd, R2=key, R3=value."""
         bpf_map = scratch.map_registry.get(regs[R1])
-        bpf_map.update(_u64(regs[2]), _u64(regs[3]))
+        bpf_map.update(regs[2] & WORD_MASK, regs[3] & WORD_MASK)
         return 0
 
     def _helper_map_delete(self, regs, memory, scratch) -> int:
         bpf_map = scratch.map_registry.get(regs[R1])
         try:
-            bpf_map.delete(_u64(regs[2]))
+            bpf_map.delete(regs[2] & WORD_MASK)
         except Exception:
-            return _u64(-2)  # -ENOENT
+            return -2 & WORD_MASK  # -ENOENT
         return 0
 
     def _helper_ktime(self, regs, memory, scratch) -> int:
         return scratch.now_ns
 
     def _helper_printk(self, regs, memory, scratch) -> int:
-        scratch.printk_log.append((_u64(regs[R1]), _u64(regs[2])))
+        scratch.printk_log.append((regs[R1] & WORD_MASK, regs[2] & WORD_MASK))
         return 0
 
     def _helper_prandom(self, regs, memory, scratch) -> int:
@@ -353,7 +339,7 @@ class Vm:
 
     def _helper_redirect(self, regs, memory, scratch) -> int:
         """R1=target ifindex -> XDP_REDIRECT."""
-        scratch.redirect_ifindex = _u64(regs[R1])
+        scratch.redirect_ifindex = regs[R1] & WORD_MASK
         return XDP_REDIRECT
 
     def _helper_msg_redirect_map(self, regs, memory, scratch) -> int:
@@ -361,7 +347,7 @@ class Vm:
         bpf_map = scratch.map_registry.get(regs[R1])
         if not isinstance(bpf_map, SockMap):
             raise VmFault("msg_redirect_map requires a sockmap")
-        endpoint = bpf_map.lookup(_u64(regs[2]))
+        endpoint = bpf_map.lookup(regs[2] & WORD_MASK)
         if endpoint is None:
             return SK_DROP
         scratch.redirect_endpoint = endpoint
@@ -382,4 +368,4 @@ class Vm:
         bpf_map = scratch.map_registry.get(regs[R1])
         if not isinstance(bpf_map, ArrayMap):
             raise VmFault("array_add requires an array map")
-        return _u64(bpf_map.add(_u64(regs[2]), regs[3]))
+        return bpf_map.add(regs[2] & WORD_MASK, regs[3]) & WORD_MASK

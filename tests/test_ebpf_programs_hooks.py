@@ -273,31 +273,3 @@ def test_hook_detach():
     assert not hook.is_armed
     with pytest.raises(HookError):
         hook.detach(program)
-
-
-def test_xdp_rate_limiter_enforces_window_budget():
-    registry = MapRegistry()
-    counter = ArrayMap(max_entries=1, name="window")
-    fd = registry.create(counter)
-    vm = Vm(registry)
-    program = programs.xdp_rate_limiter(fd, limit_per_window=3)
-    verdicts = [vm.run(program).return_value for _ in range(5)]
-    from repro.kernel.ebpf import XDP_DROP, XDP_PASS
-
-    assert verdicts == [XDP_PASS, XDP_PASS, XDP_PASS, XDP_DROP, XDP_DROP]
-    # Userspace window reset restores the budget.
-    counter.update(0, 0)
-    assert vm.run(program).return_value == XDP_PASS
-
-
-def test_xdp_rate_limiter_verifies_and_attaches():
-    from repro.kernel.ebpf import HookPoint, ProgramType, verify
-
-    registry = MapRegistry()
-    fd = registry.create(ArrayMap(max_entries=1))
-    program = programs.xdp_rate_limiter(fd, 100)
-    verify(program)
-    vm = Vm(registry)
-    hook = HookPoint("xdp@eth0", ProgramType.XDP, vm)
-    hook.attach(program)
-    assert hook.is_armed
