@@ -152,9 +152,9 @@ def run_clone_point(
     def arrivals():
         while True:
             yield env.timeout(node.rng.exponential(ARRIVAL_STREAM, 1.0 / lam))
-            env.process(one_request(), name="clone-lab-request")
+            env.process(one_request(), name="clone-lab-request", detached=True)
 
-    env.process(arrivals(), name="clone-lab-arrivals")
+    env.process(arrivals(), name="clone-lab-arrivals", detached=True)
     node.run(until=duration)
 
     mean = sum(samples) / len(samples) if samples else float("nan")

@@ -191,7 +191,9 @@ class ProxyComponent:
             self._limiter.release(slot)
         if self.overhead_cpu > 0:
             # Not awaited: off the critical path.
-            self.cpu.execute(self.overhead_cpu, self.tag, op="proxy_overhead")
+            self.cpu.execute(
+                self.overhead_cpu, self.tag, op="proxy_overhead", detached=True
+            )
 
 
 class Dataplane(abc.ABC):

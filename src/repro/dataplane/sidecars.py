@@ -111,9 +111,13 @@ class SidecarPod:
 
             # NGINX serves the request.
             yield self.cpu.execute(self.spec.nginx_path, self.tag_nginx, op="nginx_path")
-            self.cpu.execute(self.spec.nginx_bg, self.tag_nginx, op="nginx_bg")
+            self.cpu.execute(
+                self.spec.nginx_bg, self.tag_nginx, op="nginx_bg", detached=True
+            )
             if self.spec.kernel_bg > 0:
-                self.cpu.execute(self.spec.kernel_bg, self.tag_kernel, op="kernel_bg")
+                self.cpu.execute(
+                    self.spec.kernel_bg, self.tag_kernel, op="kernel_bg", detached=True
+                )
 
             if self.spec.has_sidecar:
                 # Outbound back through the sidecar.
@@ -122,7 +126,7 @@ class SidecarPod:
                 )
                 yield from leg_localhost(self.ops, nbytes, trace, Stage.STEP_4)
                 self.cpu.execute(
-                    self.spec.sidecar_bg, self.tag_sidecar, op="sidecar_bg"
+                    self.spec.sidecar_bg, self.tag_sidecar, op="sidecar_bg", detached=True
                 )
 
             # Response towards the client.

@@ -338,9 +338,13 @@ class SprightChainRuntime:
             self._gateway_spinner = SpinCharger(
                 node, self.gateway.tag, cores=gateway_cores
             )
-        node.env.process(self._gateway_worker(), name=f"gw-{chain_name}")
+        node.env.process(
+            self._gateway_worker(), name=f"gw-{chain_name}", detached=True
+        )
         if metrics_server is not None:
-            node.env.process(self._metrics_agent(), name=f"metrics-{chain_name}")
+            node.env.process(
+                self._metrics_agent(), name=f"metrics-{chain_name}", detached=True
+            )
 
     # -- pod wiring (called via Deployment callbacks) ---------------------------
     def attach_deployment(self, function_name: str, deployment: Deployment) -> None:
@@ -375,6 +379,7 @@ class SprightChainRuntime:
         self.node.env.process(
             self._function_worker(function_name, pod, endpoint),
             name=f"worker-{pod.cpu_tag}#{pod.instance_id}",
+            detached=True,
         )
 
     def _on_pod_gone(self, function_name: str, pod: Pod) -> None:
@@ -621,7 +626,8 @@ class SprightChainRuntime:
                 return
             assert isinstance(message, SprightMessage)
             self.node.env.process(
-                self._handle_message(function_name, pod, endpoint, ops, message)
+                self._handle_message(function_name, pod, endpoint, ops, message),
+                detached=True,
             )
 
     def _handle_message(self, function_name: str, pod: Pod, endpoint, ops, message):
@@ -688,7 +694,7 @@ class SprightChainRuntime:
         while True:
             message = yield from self.transport.wait_for_item(self.gateway_endpoint)
             assert isinstance(message, SprightMessage)
-            self.node.env.process(self._finish_response(ops, message))
+            self.node.env.process(self._finish_response(ops, message), detached=True)
 
     def _read_payload(self, message: SprightMessage) -> bytes:
         """Receive-side read: verify the descriptor before touching memory.
@@ -744,7 +750,9 @@ class SprightChainRuntime:
                 )
             )
             # The scrape itself is cheap but not free.
-            self.gateway.cpu.execute(5e-6, self.gateway.tag, op="metrics_scrape")
+            self.gateway.cpu.execute(
+                5e-6, self.gateway.tag, op="metrics_scrape", detached=True
+            )
 
     def _l7_metrics_map(self) -> Optional[ArrayMap]:
         if isinstance(self.transport, SproxyTransport):

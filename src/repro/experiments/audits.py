@@ -29,7 +29,7 @@ def audit_plane(plane_cls, repetitions: int = 5, seed: int = 2022) -> AuditTable
             )
             yield env.process(plane.submit(request))
 
-    node.env.process(driver(node.env))
+    node.env.process(driver(node.env), detached=True)
     node.run(until=30.0)
     return auditor.table()
 

@@ -179,26 +179,6 @@ def run_faults_motion(
     )
 
 
-def default_policy(
-    retries: int = 2,
-    hedge_delay: Optional[float] = None,
-    timeout: float = 1.0,
-) -> ResiliencePolicy:
-    """The plane-agnostic policy shape: timeout + retries, breaker armed.
-
-    This never clones; the suite default is :func:`default_resilience_for_plane`
-    with ``clone_factor="optimal"``, which folds in the lab-measured per-plane
-    clone factor (d=2 on the shared-memory planes, d=1 elsewhere).
-    """
-    return ResiliencePolicy(
-        timeout=timeout,
-        retries=retries,
-        hedge_delay=hedge_delay,
-        breaker_threshold=8,
-        breaker_reset=2.0,
-    )
-
-
 def run_resilience_suite(
     fault_plan: Optional[FaultPlan] = None,
     policy: Optional[ResiliencePolicy] = None,

@@ -51,7 +51,7 @@ def run_sidecar(
                 yield env.timeout(client_overhead)
 
     for _ in range(concurrency):
-        node.env.process(user(node.env))
+        node.env.process(user(node.env), detached=True)
     node.run(until=duration)
     summary = recorder.summary("")
     return SidecarResult(

@@ -121,13 +121,6 @@ def default_recovery_policy() -> SupervisorPolicy:
     return SupervisorPolicy(check_interval=0.25, restart_cost_mean=0.5)
 
 
-def default_admission_policy(queue_limit: int = 64) -> AdmissionPolicy:
-    """The CLI's admission shape: queue bound + CoDel-style degradation."""
-    return AdmissionPolicy(
-        queue_limit=queue_limit, target_delay=0.25, delay_window=0.5
-    )
-
-
 def _leak_check(plane_obj) -> tuple[int, int]:
     """(leaked slots, sanitizer-observed orphan reclaims) for SPRIGHT planes.
 

@@ -226,7 +226,9 @@ class FaultInjector:
                 self._ring_stall.append(spec)
             else:
                 self.node.env.process(
-                    self._run_scheduled(spec), name=f"fault-{spec.kind.value}"
+                    self._run_scheduled(spec),
+                    name=f"fault-{spec.kind.value}",
+                    detached=True,
                 )
 
     # -- stochastic predicates (hook-site fast paths) ------------------------------

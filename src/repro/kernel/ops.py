@@ -144,7 +144,7 @@ class KernelOps:
 
     def background(self, seconds: float, tag: Optional[str] = None) -> None:
         """CPU charged off the critical path (metrics, GC, bookkeeping)."""
-        self.cpu.execute(seconds, tag or self.tag, op="background")
+        self.cpu.execute(seconds, tag or self.tag, op="background", detached=True)
 
     def bundle(self) -> "OpBundle":
         """Accumulate several audited ops into one CPU charge.

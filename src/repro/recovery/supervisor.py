@@ -157,7 +157,7 @@ class PodSupervisor:
         if self._started:
             return
         self._started = True
-        self.node.env.process(self._loop(), name="pod-supervisor")
+        self.node.env.process(self._loop(), name="pod-supervisor", detached=True)
         # Fast path: the injector tells us about crashes synchronously so
         # detection latency is bounded by the check interval, not by probe
         # thresholds (the sweep still catches hangs and probe-detected
@@ -212,7 +212,7 @@ class PodSupervisor:
         self._unresponsive_since.pop(pod.instance_id, None)
         self.node.counters.incr("recovery/crashes_detected")
         self.node.env.process(
-            self._restart(state, pod), name=f"restart-{pod.cpu_tag}"
+            self._restart(state, pod), name=f"restart-{pod.cpu_tag}", detached=True
         )
 
     def _restart(self, state: _Watched, pod: "Pod"):

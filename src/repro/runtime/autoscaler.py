@@ -86,13 +86,14 @@ class Autoscaler:
             return
         self._started = True
         self._last_tick = self.node.env.now
-        self.node.env.process(self._loop(), name="autoscaler")
+        self.node.env.process(self._loop(), name="autoscaler", detached=True)
 
     def prewarm(self, deployment: Deployment, at_time: float, scale: int = 1) -> None:
         """Schedule a scale-up at ``at_time`` (pre-warm before a burst)."""
         self.node.env.process(
             self._prewarm(deployment, at_time, scale),
             name=f"prewarm-{deployment.cpu_tag}",
+            detached=True,
         )
 
     def _prewarm(self, deployment: Deployment, at_time: float, scale: int):

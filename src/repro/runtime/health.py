@@ -61,7 +61,7 @@ class HealthProber:
         if self._started:
             return
         self._started = True
-        self.node.env.process(self._loop(), name="health-prober")
+        self.node.env.process(self._loop(), name="health-prober", detached=True)
 
     def is_down(self, pod: Pod) -> bool:
         """Has this pod tripped the failure threshold and not recovered?
@@ -88,7 +88,9 @@ class HealthProber:
                 for pod in deployment.pods:
                     if pod.phase is not PodPhase.RUNNING:
                         continue
-                    self.node.cpu.execute(policy.probe_cpu, "kubelet/probes")
+                    self.node.cpu.execute(
+                        policy.probe_cpu, "kubelet/probes", detached=True
+                    )
                     answered = self.probe(pod)
                     key = pod.instance_id
                     if answered:
@@ -148,7 +150,7 @@ class VerticalPodScaler:
         if self._started:
             return
         self._started = True
-        self.node.env.process(self._loop(), name="vertical-scaler")
+        self.node.env.process(self._loop(), name="vertical-scaler", detached=True)
 
     def capacity_of(self, pod: Pod) -> int:
         return self._capacity.get(pod.instance_id, pod.spec.concurrency)

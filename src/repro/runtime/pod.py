@@ -84,7 +84,9 @@ class Pod:
         if self.phase is not PodPhase.PENDING:
             raise RuntimeError(f"pod {self.instance_id} already started")
         self.phase = PodPhase.STARTING
-        self.node.env.process(self._startup(), name=f"startup-{self.cpu_tag}")
+        self.node.env.process(
+            self._startup(), name=f"startup-{self.cpu_tag}", detached=True
+        )
         return self.ready
 
     def _startup(self):
@@ -94,6 +96,7 @@ class Pod:
                 self.startup_delay * self.startup_cpu_fraction,
                 self.cpu_tag,
                 op="startup",
+                detached=True,
             )
             yield self.node.env.timeout(self.startup_delay)
         self.phase = PodPhase.RUNNING
@@ -109,7 +112,9 @@ class Pod:
         if self._terminate_requested:
             return self.terminated
         self._terminate_requested = True
-        self.node.env.process(self._teardown(), name=f"teardown-{self.cpu_tag}")
+        self.node.env.process(
+            self._teardown(), name=f"teardown-{self.cpu_tag}", detached=True
+        )
         return self.terminated
 
     def _teardown(self):
@@ -122,6 +127,7 @@ class Pod:
                 self.termination_lag * self.termination_cpu_fraction,
                 self.cpu_tag,
                 op="teardown",
+                detached=True,
             )
             yield self.node.env.timeout(self.termination_lag)
         self.phase = PodPhase.TERMINATED
@@ -218,7 +224,10 @@ class Pod:
                 )
             if self.spec.runtime_overhead_bg > 0:
                 self.node.cpu.execute(
-                    self.spec.runtime_overhead_bg, self.cpu_tag, op="service_bg"
+                    self.spec.runtime_overhead_bg,
+                    self.cpu_tag,
+                    op="service_bg",
+                    detached=True,
                 )
             self.served += 1
             return result

@@ -90,12 +90,6 @@ class FunctionSpec:
 
 
 @dataclass
-class RouteKey:
-    function: str
-    topic: str = DEFAULT_TOPIC
-
-
-@dataclass
 class ChainSpec:
     """A function chain: functions + topic-based routing table."""
 

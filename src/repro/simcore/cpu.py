@@ -91,10 +91,11 @@ class _Core:
     """One core as a FCFS calendar queue.
 
     Instead of a core process pulling work items off a store (four event-loop
-    rounds per item), the core tracks when it next becomes free: a submitted
-    item starts at ``max(now, next_free)``, its completion event is scheduled
-    directly, and its busy interval is recorded immediately. Semantically
-    identical FCFS behaviour at a fraction of the event count.
+    rounds per item), the core tracks when it next becomes free: a booked
+    item starts at ``max(now, next_free)`` and its busy interval is recorded
+    immediately; the caller schedules a completion event only if someone
+    waits for it. Semantically identical FCFS behaviour at a fraction of the
+    event count.
     """
 
     __slots__ = ("env", "accounting", "index", "next_free", "dedicated_tag")
@@ -111,15 +112,13 @@ class _Core:
         """Seconds of queued work ahead of a new submission."""
         return max(0.0, self.next_free - self.env.now)
 
-    def submit(self, duration: float, tag: str, done: Event, op=None) -> None:
-        now = self.env.now
+    def book(self, now: float, duration: float, tag: str, op=None) -> float:
+        """Queue ``duration`` seconds of work; returns when it completes."""
         start = now if self.next_free < now else self.next_free
         end = start + duration
         self.next_free = end
         self.accounting.record(tag, start, duration, op=op)
-        done._ok = True
-        done._value = None
-        self.env.schedule(done, delay=end - now)
+        return end
 
 
 class DedicatedCore:
@@ -191,24 +190,34 @@ class CpuSet:
     def cycles_to_seconds(self, cycles: float) -> float:
         return cycles / self.freq_hz
 
-    def execute(self, duration: float, tag: str, op=None) -> Event:
+    def execute(
+        self, duration: float, tag: str, op=None, detached: bool = False
+    ) -> Optional[Event]:
         """Submit ``duration`` seconds of work; returns its completion event.
 
         Work goes to the least-backlogged shared core, approximating the
         kernel scheduler spreading runnable threads. ``op`` is an optional
         operation attribution for the CPU profiler (ignored when off).
+
+        ``detached=True`` is for work nobody waits on (background and
+        off-critical-path charges): the core calendar and the ledger are
+        booked exactly as for awaited work, but no completion event is
+        created or scheduled, and ``None`` is returned.
         """
         if duration < 0:
             raise ValueError("duration must be non-negative")
-        done = Event(self.env)
+        env = self.env
         if duration == 0:
+            if detached:
+                return None
+            done = Event(env)
             done.succeed()
             return done
         shared = self._shared
         if not shared:
             raise RuntimeError("all cores are dedicated; no shared core available")
         # Least-loaded dispatch; fast path grabs the first idle core.
-        now = self.env.now
+        now = env.now
         chosen = None
         best = None
         for core in shared:
@@ -219,11 +228,21 @@ class CpuSet:
             if best is None or free_in < best:
                 best = free_in
                 chosen = core
-        chosen.submit(duration, tag, done, op=op)
+        end = chosen.book(now, duration, tag, op=op)
+        if detached:
+            return None
+        done = Event(env)
+        done._ok = True
+        done._value = None
+        env.schedule(done, delay=end - now)
         return done
 
-    def execute_cycles(self, cycles: float, tag: str, op=None) -> Event:
-        return self.execute(self.cycles_to_seconds(cycles), tag, op=op)
+    def execute_cycles(
+        self, cycles: float, tag: str, op=None, detached: bool = False
+    ) -> Optional[Event]:
+        return self.execute(
+            self.cycles_to_seconds(cycles), tag, op=op, detached=detached
+        )
 
     def dedicate(self, tag: str) -> DedicatedCore:
         """Pin an idle shared core for a poll-mode component."""

@@ -32,6 +32,8 @@ class Environment:
         self._active_process: Optional[Process] = None
         #: Events processed so far — a free progress/throughput signal for
         #: the bench harness and live observers (int increment, no events).
+        #: An observed run counts per event; an unobserved run adds its
+        #: count when ``run()`` returns or raises.
         self.events_processed = 0
         self._observers: list = []
 
@@ -52,8 +54,17 @@ class Environment:
     def timeout(self, delay: float, value: object = None) -> Timeout:
         return Timeout(self, delay, value)
 
-    def process(self, generator: ProcessGenerator, name: str = "") -> Process:
-        return Process(self, generator, name=name)
+    def process(
+        self, generator: ProcessGenerator, name: str = "", detached: bool = False
+    ) -> Optional[Process]:
+        """Start a process; returns it, or ``None`` when ``detached``.
+
+        ``detached=True`` is for fire-and-forget spawns nobody waits on:
+        the process schedules no termination event, and an exception
+        escaping it propagates out of :meth:`run` at once.
+        """
+        process = Process(self, generator, name=name, detached=detached)
+        return None if detached else process
 
     def all_of(self, events) -> AllOf:
         return AllOf(self, events)
@@ -68,10 +79,6 @@ class Environment:
         """Queue ``event`` to be processed after ``delay`` time units."""
         heappush(self._queue, (self._now + delay, priority, next(self._eid), event))
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or +inf if none."""
-        return self._queue[0][0] if self._queue else inf
-
     # -- passive observers ----------------------------------------------------
     def add_observer(self, callback) -> None:
         """Register ``callback(now)`` to run after every processed event.
@@ -81,7 +88,10 @@ class Environment:
         it may only *read* simulation state (and ship what it read to
         threads outside the simulation). Under that contract an observed
         run's event sequence, and therefore every table and golden it
-        produces, is byte-identical to an unobserved run's.
+        produces, is byte-identical to an unobserved run's. Whether a run
+        is observed is decided when :meth:`run` starts, so an observer
+        added from inside a running simulation is called from the next
+        :meth:`run` on.
         """
         if callback not in self._observers:
             self._observers.append(callback)
@@ -121,6 +131,14 @@ class Environment:
         ``until`` may be ``None`` (drain the queue), a number (absolute time
         horizon), or an :class:`Event` (run until it has been processed and
         return its value).
+
+        Detached CPU charges and processes schedule no event, so with
+        ``until=None`` the clock stops at the last event that something
+        waits on, while the CPU ledger still books background work past it.
+
+        With an observer attached every event goes through :meth:`step`;
+        otherwise one local loop does the same work (and the same checks)
+        without the per-event method calls.
         """
         stop_event: Optional[Event] = None
         horizon = inf
@@ -138,8 +156,12 @@ class Environment:
                     )
 
         try:
-            while self._queue and self.peek() <= horizon:
-                self.step()
+            if self._observers:
+                queue = self._queue
+                while queue and queue[0][0] <= horizon:
+                    self.step()
+            else:
+                self._run_unobserved(horizon)
         except StopSimulation as stop:
             finished = stop.args[0]
             assert isinstance(finished, Event)
@@ -156,6 +178,27 @@ class Environment:
         if horizon is not inf:
             self._now = horizon
         return None
+
+    def _run_unobserved(self, horizon: float) -> None:
+        """:meth:`step` up to ``horizon``, inlined into one loop."""
+        queue = self._queue
+        processed = 0
+        try:
+            while queue and queue[0][0] <= horizon:
+                self._now, _, _, event = heappop(queue)
+                callbacks, event.callbacks = event.callbacks, None
+                if callbacks is None:
+                    raise SimulationError(f"{event!r} was scheduled twice")
+                for callback in callbacks:
+                    callback(event)
+                if not event._ok and not event._defused:
+                    # An unhandled failure crashes the simulation, loudly.
+                    exc = event._value
+                    assert isinstance(exc, BaseException)
+                    raise exc
+                processed += 1
+        finally:
+            self.events_processed += processed
 
     @staticmethod
     def _stop_callback(event: Event) -> None:

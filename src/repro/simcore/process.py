@@ -32,18 +32,27 @@ class Process(Event):
     The generator yields :class:`Event` instances and is resumed with the
     event's value (or the event's exception is thrown into it). Other
     processes may wait on a Process like any other event, or interrupt it.
+
+    A *detached* process is one nobody keeps a reference to, so nothing can
+    wait on its end: it schedules no termination event. An exception that
+    escapes its generator propagates out of ``run()`` at once instead.
     """
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "_target", "_detached", "name")
 
     def __init__(
-        self, env: "Environment", generator: ProcessGenerator, name: str = ""
+        self,
+        env: "Environment",
+        generator: ProcessGenerator,
+        name: str = "",
+        detached: bool = False,
     ) -> None:
         if not hasattr(generator, "throw"):
             raise ValueError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
         self._target: Optional[Event] = None
+        self._detached = detached
         self.name = name or getattr(generator, "__name__", "process")
         Initialize(env, self)
 
@@ -94,22 +103,27 @@ class Process(Event):
                 env._active_process = None
                 self._ok = True
                 self._value = stop.value
-                env.schedule(self)
+                if not self._detached:
+                    env.schedule(self)
                 return
             except BaseException as error:
                 env._active_process = None
                 self._ok = False
                 self._value = error
+                if self._detached:
+                    raise
                 env.schedule(self)
                 return
 
             if not isinstance(next_event, Event):
-                env._active_process = None
-                error = SimulationError(
+                # Throw the error into the generator and treat whatever it
+                # does next (yield, return or raise) as a normal step.
+                event = Event(env)
+                event._ok = False
+                event._value = SimulationError(
                     f"process {self.name!r} yielded a non-event: {next_event!r}"
                 )
-                self._generator.throw(error)
-                return
+                continue
 
             if next_event.callbacks is not None:
                 # Event is still pending/triggered: wait for it.

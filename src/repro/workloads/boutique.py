@@ -10,7 +10,6 @@ same application logic without the runtime baggage).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from ..dataplane.base import RequestClass
 from ..runtime import FunctionResult, FunctionSpec
@@ -175,15 +174,3 @@ def locust_think_time(node) -> float:
     """Locust's ``wait_time = between(1, 10)`` from the boutique repo."""
     return node.rng.uniform("boutique/think", 1.0, 10.0)
 
-
-@dataclass
-class BoutiqueScenario:
-    """Bundle used by experiments: functions + mix + think time."""
-
-    concurrency_users: int
-    spawn_rate: float
-    duration: float
-
-    def mean_offered_rps(self) -> float:
-        """Closed-loop equilibrium estimate: users / mean think time."""
-        return self.concurrency_users / 5.5

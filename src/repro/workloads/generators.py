@@ -95,13 +95,15 @@ class ClosedLoopGenerator:
         self.requests_failed = 0
 
     def start(self) -> None:
-        self.node.env.process(self._spawner(), name="loadgen-spawner")
+        self.node.env.process(self._spawner(), name="loadgen-spawner", detached=True)
 
     def _spawner(self):
         env = self.node.env
         interval = 0.0 if not self.spawn_rate else 1.0 / self.spawn_rate
         for user_index in range(self.concurrency):
-            env.process(self._user(user_index), name=f"user-{user_index}")
+            env.process(
+                self._user(user_index), name=f"user-{user_index}", detached=True
+            )
             if interval:
                 yield env.timeout(interval)
 
@@ -207,7 +209,7 @@ class OpenLoopGenerator:
         return self._stream is not None
 
     def start(self) -> None:
-        self.node.env.process(self._run(), name="openloop")
+        self.node.env.process(self._run(), name="openloop", detached=True)
 
     def _events(self) -> Iterator[TraceEvent]:
         if self.trace is not None:
@@ -226,7 +228,7 @@ class OpenLoopGenerator:
             delay = event.time - env.now
             if delay > 0:
                 yield env.timeout(delay)
-            env.process(self._one(event))
+            env.process(self._one(event), detached=True)
             self.submitted += 1
         if not self.submitted:
             yield env.timeout(0)
