@@ -23,7 +23,7 @@ def main() -> None:
         placement = run.extras["placement"]
         layout = " ".join(
             f"{fn}@{placement.node_of(fn).replace('worker-', 'w')}"
-            for fn in run.dataplane.chain.function_names
+            for fn in run.dataplane.functions
         )
         print(
             f"{policy:<16}{run.hops_per_request:>16.1f}{run.p99_ms:>10.3f}"

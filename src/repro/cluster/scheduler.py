@@ -23,9 +23,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from ..runtime import ChainSpec, FunctionSpec
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .fabric import ClusterFabric
 
 POLICIES = ("bin_pack", "spread", "chain_locality")
 
@@ -106,11 +109,17 @@ def function_memory_request(spec: FunctionSpec, pool_share_mb: float = 8.0) -> f
 
 @dataclass
 class FunctionPlacement:
-    """The outcome: which node hosts each function of one chain."""
+    """The outcome: which node hosts each function of one chain.
+
+    ``fabric`` is the :class:`~repro.cluster.ClusterFabric` the node names
+    resolve in; a placement bound to one is what a
+    :class:`~repro.dataplane.Dataplane` takes to run over several nodes.
+    """
 
     chain: str
     policy: str
     assignments: dict[str, str] = field(default_factory=dict)
+    fabric: Optional["ClusterFabric"] = field(default=None, repr=False, compare=False)
 
     def node_of(self, function: str) -> str:
         return self.assignments[function]

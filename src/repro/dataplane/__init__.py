@@ -19,7 +19,6 @@ from .sidecars import (
     QUEUE_PROXY,
     SidecarPod,
     SidecarSpec,
-    sidecar_by_name,
 )
 from .spright import (
     DSprightDataplane,
@@ -59,5 +58,4 @@ __all__ = [
     "leg_kernel",
     "leg_localhost",
     "nginx_function",
-    "sidecar_by_name",
 ]

@@ -18,6 +18,7 @@ from ..runtime import Deployment, FunctionSpec, Kubelet, Pod
 from ..simcore import CpuSet, DeliveryError, Interrupt, Resource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..cluster import FunctionPlacement
     from ..faults import ResilienceController, ResiliencePolicy
     from ..runtime import WorkerNode
 
@@ -197,7 +198,16 @@ class ProxyComponent:
 
 
 class Dataplane(abc.ABC):
-    """A deployable request-execution engine over a set of functions."""
+    """A deployable request-execution engine over a set of functions.
+
+    ``node`` is the ingress node. ``placement`` (a
+    :class:`~repro.cluster.FunctionPlacement` bound to its
+    :class:`~repro.cluster.ClusterFabric`) says which node each function
+    runs on; the default ``None`` puts every function on ``node``. Each
+    plane resolves its hop kinds from :attr:`node_of` once, at deploy
+    time: a same-node hop is the plane's own transport, a node boundary is
+    a :meth:`~repro.cluster.ClusterFabric.transfer`.
+    """
 
     #: short identifier used as the CPU-tag prefix ("kn", "grpc", ...)
     plane: str = "base"
@@ -208,6 +218,7 @@ class Dataplane(abc.ABC):
         functions: list[FunctionSpec],
         kubelet: Optional[Kubelet] = None,
         cold_start: bool = False,
+        placement: Optional["FunctionPlacement"] = None,
     ) -> None:
         self.node = node
         self.functions = {spec.name: spec for spec in functions}
@@ -216,6 +227,27 @@ class Dataplane(abc.ABC):
         self.kubelet = kubelet or Kubelet(
             node, cold_start_enabled=cold_start, termination_lag=0.0
         )
+        self.placement = placement
+        self.fabric = placement.fabric if placement is not None else None
+        #: the node each function runs on
+        self.node_of: dict[str, "WorkerNode"] = dict.fromkeys(self.functions, node)
+        #: distinct nodes hosting this plane, the ingress node first
+        self.hosts: list["WorkerNode"] = [node]
+        self._kubelets = {node.name: self.kubelet}
+        if placement is not None:
+            if self.fabric.nodes.get(node.name) is not node:
+                raise ValueError(f"ingress node {node.name!r} is not on the fabric")
+            missing = [f for f in self.functions if f not in placement.assignments]
+            if missing:
+                raise ValueError(f"placement misses functions {missing!r}")
+            for name in self.functions:
+                host = self.fabric.nodes[placement.node_of(name)]
+                self.node_of[name] = host
+                if host.name not in self._kubelets:
+                    self.hosts.append(host)
+                    self._kubelets[host.name] = Kubelet(
+                        host, cold_start_enabled=cold_start, termination_lag=0.0
+                    )
         self.deployments: dict[str, Deployment] = {}
         self.requests_completed = 0
         self.resilience: Optional["ResilienceController"] = None
@@ -228,12 +260,17 @@ class Dataplane(abc.ABC):
         if self._deployed:
             return
         for name, spec in self.functions.items():
-            deployment = self.kubelet.deployment(spec, self.fn_tag(name))
+            host = self.node_of[name]
+            deployment = self._kubelets[host.name].deployment(spec, self.fn_tag(name))
             deployment.ensure_scale(spec.min_scale)
             self.deployments[name] = deployment
-            self.node.faults.register_deployment(name, deployment)
+            # Pod faults armed on a node find the functions placed there.
+            host.faults.register_deployment(name, deployment)
         self._setup_transport()
         self._deployed = True
+
+    def teardown(self) -> None:
+        """Release plane resources (pools, poll spinners); default none."""
 
     def use_resilience(self, policy: "ResiliencePolicy") -> None:
         """Attach a gateway-side resilience policy (timeouts/retries/hedging).

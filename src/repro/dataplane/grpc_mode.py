@@ -73,16 +73,20 @@ class GrpcDataplane(Dataplane):
         previous: Optional[str] = None
         for function_name in request.request_class.sequence:
             if previous is not None:
-                # Direct pod-to-pod gRPC call over the kernel.
+                # Direct pod-to-pod gRPC call over the kernel, or across the
+                # fabric when the callee runs on another node.
                 wire = self.encode_call(function_name, payload)
                 stage = chain_step_stage(event_index)
                 event_index += 1
                 span = request.span_begin(
                     "leg:call", "leg", bytes=len(wire), fn=function_name
                 )
-                yield from leg_kernel(
-                    self.deployment_ops(function_name), len(wire), trace, stage
-                )
+                if self.node_of[previous] is self.node_of[function_name]:
+                    yield from leg_kernel(
+                        self.deployment_ops(function_name), len(wire), trace, stage
+                    )
+                else:
+                    payload = yield from self._cross(previous, function_name, payload, request)
                 request.span_end(span)
             pod = yield from self.acquire_pod(function_name, request.claimed_pods)
             request.mark(f"deliver:{function_name}", self.node.env.now)
@@ -92,6 +96,8 @@ class GrpcDataplane(Dataplane):
             previous = function_name
 
         # Response to the client from the head function's pod.
+        if self.node_of[previous] is not self.node_of[head]:
+            payload = yield from self._cross(previous, head, payload, request)
         response = payload[: request.request_class.response_size] or payload
         span = request.span_begin("leg:response", "leg", bytes=len(response))
         yield from leg_kernel(self.ops, len(response), trace, None)
@@ -102,4 +108,16 @@ class GrpcDataplane(Dataplane):
 
     def deployment_ops(self, function_name: str):
         """Charge stack work to the receiving function's kernel-side tag."""
-        return self.node.ops(f"{self.plane}/stack/{function_name}")
+        return self.node_of[function_name].ops(f"{self.plane}/stack/{function_name}")
+
+    def _cross(self, sender: str, receiver: str, payload: bytes, request: Request):
+        """Generator: one call between functions on different nodes."""
+        payload = yield from self.fabric.transfer(
+            self.node_of[sender],
+            self.node_of[receiver],
+            payload,
+            ops_tx=self.deployment_ops(sender),
+            ops_rx=self.deployment_ops(receiver),
+            request=request,
+        )
+        return payload

@@ -66,9 +66,12 @@ class KnativeDataplane(Dataplane):
         self.queue_proxies: dict[str, ProxyComponent] = {}
 
     def _setup_transport(self) -> None:
+        # Queue proxies sit with their function; the broker stays on the
+        # ingress node, so a function placed elsewhere is reached (and
+        # answers) across the fabric.
         for name in self.functions:
             self.queue_proxies[name] = ProxyComponent(
-                self.node,
+                self.node_of[name],
                 tag=f"{self.plane}/qp/{name}",
                 path_cpu=self.params.qp_path_cpu,
                 overhead_cpu=self.params.qp_overhead_cpu,
@@ -102,6 +105,7 @@ class KnativeDataplane(Dataplane):
         event_index = 0
         for function_name in request.request_class.sequence:
             queue_proxy = self.queue_proxies[function_name]
+            remote = queue_proxy.node is not self.node
 
             # Delivery: broker -> queue proxy -> user container.
             stage = chain_step_stage(event_index)
@@ -109,9 +113,15 @@ class KnativeDataplane(Dataplane):
             span = request.span_begin(
                 "leg:deliver", "leg", bytes=len(payload), fn=function_name
             )
-            yield from leg_kernel(
-                queue_proxy.ops, len(payload), trace, stage, ops_tx=self.broker.ops
-            )
+            if remote:
+                payload = yield from self.fabric.transfer(
+                    self.node, queue_proxy.node, payload,
+                    ops_tx=self.broker.ops, ops_rx=queue_proxy.ops, request=request,
+                )
+            else:
+                yield from leg_kernel(
+                    queue_proxy.ops, len(payload), trace, stage, ops_tx=self.broker.ops
+                )
             yield from queue_proxy.traverse()
             yield from leg_localhost(queue_proxy.ops, len(payload), trace, stage)
             request.span_end(span)
@@ -130,9 +140,15 @@ class KnativeDataplane(Dataplane):
             )
             yield from leg_localhost(queue_proxy.ops, len(payload), trace, stage)
             yield from queue_proxy.traverse()
-            yield from leg_kernel(
-                self.broker.ops, len(payload), trace, stage, ops_tx=queue_proxy.ops
-            )
+            if remote:
+                payload = yield from self.fabric.transfer(
+                    queue_proxy.node, self.node, payload,
+                    ops_tx=queue_proxy.ops, ops_rx=self.broker.ops, request=request,
+                )
+            else:
+                yield from leg_kernel(
+                    self.broker.ops, len(payload), trace, stage, ops_tx=queue_proxy.ops
+                )
             if self.params.mediate_every_hop:
                 yield from self.broker.traverse()
             request.span_end(span)

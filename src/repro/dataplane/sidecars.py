@@ -154,10 +154,3 @@ class SidecarPod:
             * freq
             / self.requests_served,
         }
-
-
-def sidecar_by_name(name: str) -> SidecarSpec:
-    for spec in ALL_SIDECARS:
-        if spec.name.lower() == name.lower():
-            return spec
-    raise KeyError(f"unknown sidecar {name!r}")

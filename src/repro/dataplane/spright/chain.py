@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Optional
 
 from ...audit import RequestTrace, Stage
@@ -64,6 +65,9 @@ class SprightMessage:
     freed: bool = False      # single-free guard (requester XOR chain frees)
     in_chain: bool = False   # a descriptor for it reached some inbox/ring
     failed_error: Optional[DeliveryError] = None  # set when delivery failed
+    # The runtime whose pool holds ``handle``; it changes when the message
+    # crosses to another node. None means the runtime handling it.
+    owner: Optional["SprightChainRuntime"] = None
 
     def next_stage(self, to_gateway: bool) -> Optional[Stage]:
         """Audit stage for the next hop (response hops are not staged)."""
@@ -254,7 +258,14 @@ class RingTransport(ChainTransport):
 
 
 class SprightChainRuntime:
-    """One deployed chain: gateway + pool + transport + function workers."""
+    """One deployed chain on one node: gateway + pool + transport + workers.
+
+    A chain placed over several nodes has one runtime per node. ``hops``
+    maps each function this node does not serve from its own pods to the
+    hop that reaches it (a fabric crossing into the hosting node's gateway,
+    or a λ-NIC engine run); ``upstream`` is the ingress node's runtime when
+    this is not it, and the gateway forwards responses there.
+    """
 
     def __init__(
         self,
@@ -330,6 +341,9 @@ class SprightChainRuntime:
         self.eproxy_hook.attach(programs.eproxy_l3_metrics(self.l3_metrics.fd))
 
         self.routing = DfrRoutingTable(node, chain_name)
+        self.hops: dict[str, object] = {}
+        self.upstream: Optional["SprightChainRuntime"] = None
+        self.fabric = None
         self._endpoints: dict[int, object] = {}
         self._function_of_instance: dict[int, str] = {}
         self._spinners: dict[int, SpinCharger] = {}
@@ -414,14 +428,103 @@ class SprightChainRuntime:
         )
         if message.request is not None:
             message.request.span_end(span)
-        sent = yield from self._send_to_function(
-            self.gateway_endpoint,
-            self.gateway.ops,
-            message,
-            head_function,
-            deployment,
+        hop = self.hops.get(head_function)
+        if hop is None:
+            yield from self._send_to_function(
+                self.gateway_endpoint, self.gateway.ops, message, head_function, deployment
+            )
+        else:
+            yield from hop(self.gateway_endpoint, self.gateway.ops, message, head_function)
+
+    # -- hop kinds ----------------------------------------------------------------
+    def connect(self, function_name: str, peer: "SprightChainRuntime") -> None:
+        """Reach ``function_name`` on ``peer``'s node across the fabric."""
+        self.hops[function_name] = partial(self._cross, peer)
+
+    def offload(self, function_name: str, engine, spec) -> None:
+        """Run ``function_name`` on this node's λ-NIC engine when it has a core."""
+        self.hops[function_name] = partial(self._nic_hop, engine, spec)
+
+    def _route(self, endpoint, ops, message, function_name):
+        """Generator: the hop from ``endpoint`` to ``function_name`` or the response."""
+        if function_name == RESPONSE or self.routing.is_response(function_name):
+            if endpoint is not self.gateway_endpoint:
+                yield from self._send_to_gateway(endpoint, ops, message)
+            elif self.upstream is not None:
+                yield from self._cross(self.upstream, endpoint, ops, message, None)
+            else:
+                self._complete(message, self.pool.read(message.handle))
+            return
+        hop = self.hops.get(function_name)
+        if hop is None:
+            yield from self._send_to_function(endpoint, ops, message, function_name, None)
+        else:
+            yield from hop(endpoint, ops, message, function_name)
+
+    def _cross(self, peer, endpoint, ops, message, function_name):
+        """Node boundary: the payload leaves this pool, crosses the fabric
+        into ``peer``'s gateway, and lands in ``peer``'s pool (None: the
+        response, handed to the waiting requester)."""
+        payload = self.pool.read(message.handle)
+        self.release_message(message)
+        payload = yield from self.fabric.transfer(
+            self.node,
+            peer.node,
+            payload,
+            ops_tx=ops,
+            ops_rx=peer.gateway.ops,
+            request=message.request,
         )
-        return sent
+        if message.cancelled:
+            return  # the requester gave up in flight; no buffer is held
+        if function_name is None:
+            peer._complete(message, payload)
+            return
+        message.handle = peer.pool.alloc(site=f"{peer.plane}/gw/{peer.chain_name}")
+        peer.pool.write(message.handle, payload)
+        message.owner = peer
+        message.freed = False
+        # A mid-chain hop like _handle_message's: no deployment to activate.
+        yield from peer.dispatch(message, function_name, None)
+
+    def _nic_hop(self, engine, spec, endpoint, ops, message, function_name):
+        """λ-NIC: DMA the payload to the NIC, run the function on an engine
+        core, DMA the result back in place, then route on. Without a free
+        core the function's host pods serve it."""
+        if not engine.try_reserve():
+            self.node.counters.incr(f"{self.plane}/host_fallbacks")
+            yield from self._send_to_function(endpoint, ops, message, function_name, None)
+            return
+        dma = self.node.config.costs.nic_dma
+        try:
+            payload = self.pool.read(message.handle)
+            yield self.node.env.timeout(dma)
+            result = yield from engine.execute(spec, payload)
+        finally:
+            engine.release()
+        yield self.node.env.timeout(dma)
+        if message.cancelled or message.freed:
+            self.release_message(message)
+            return
+        self.pool.write(message.handle, result.payload)
+        message.topic = result.topic or message.topic
+        if message.request is not None:
+            message.request.mark(f"served:{function_name}", self.node.env.now)
+        yield from self._route(
+            endpoint, ops, message, self._next_function(function_name, message)
+        )
+
+    def _next_function(self, function_name: str, message: SprightMessage) -> str:
+        """DFR step 1: where next? Sequence-driven or routing-table-driven."""
+        if message.remaining is not None:
+            return message.remaining.pop(0) if message.remaining else RESPONSE
+        return self.routing.next_function(function_name, message.topic)
+
+    def _complete(self, message: SprightMessage, response: bytes) -> None:
+        """The response reached the ingress gateway: wake the requester."""
+        message.response = response
+        if not message.done.triggered:
+            message.done.succeed(response)
 
     def _send_to_function(self, endpoint, ops, message, function_name, deployment):
         if message.freed:
@@ -594,11 +697,13 @@ class SprightChainRuntime:
 
     # -- failure/cancellation lifecycle ------------------------------------------
     def release_message(self, message: SprightMessage) -> None:
-        """Free the message's pool buffer exactly once (requester or chain)."""
+        """Free the message's pool buffer exactly once (requester or chain),
+        in the runtime that owns it."""
         if not message.freed:
             message.freed = True
-            self.scavenger.release(message.handle)
-            self.pool.free(message.handle)
+            owner = message.owner or self
+            owner.scavenger.release(message.handle)
+            owner.pool.free(message.handle)
 
     def _fail_message(self, message: SprightMessage, error: DeliveryError) -> None:
         """Delivery failed mid-chain: release the buffer and wake the
@@ -674,15 +779,12 @@ class SprightChainRuntime:
         message.topic = result.topic or message.topic
         message.sender_instance = pod.instance_id
 
-        # DFR step 1: where next? Sequence-driven or routing-table-driven.
-        if message.remaining is not None:
-            next_function = (
-                message.remaining.pop(0) if message.remaining else RESPONSE
-            )
-        else:
-            next_function = self.routing.next_function(function_name, message.topic)
+        next_function = self._next_function(function_name, message)
+        # Inline rather than through _route: this is every same-node hop.
         if next_function == RESPONSE or self.routing.is_response(next_function):
             yield from self._send_to_gateway(endpoint, ops, message)
+        elif next_function in self.hops:
+            yield from self.hops[next_function](endpoint, ops, message, next_function)
         else:
             yield from self._send_to_function(
                 endpoint, ops, message, next_function, None
@@ -722,9 +824,10 @@ class SprightChainRuntime:
             # instead of the requester.
             self.release_message(message)
             return
-        message.response = self._read_payload(message)
-        if not message.done.triggered:
-            message.done.succeed(message.response)
+        if self.upstream is not None:
+            yield from self._cross(self.upstream, None, ops, message, None)
+        else:
+            self._complete(message, self._read_payload(message))
 
     def _metrics_agent(self, interval: float = 2.0):
         """The gateway's built-in agent: eBPF metric maps -> metrics server."""

@@ -3,15 +3,20 @@
 PAPERS.md's "λ-NIC: Interactive Serverless Compute on Programmable
 SmartNICs" observes that most serverless functions are short and small
 enough to run entirely on a programmable NIC's cores. This plane extends
-S-SPRIGHT with a :class:`~.xdp_accel.NicComputeEngine`: when *every*
-function in a request's call sequence is offload-eligible
-(match-action expressible + under the NIC's service-time ceiling) and a NIC
-core is free, the request never crosses the PCIe boundary — rx DMA, XDP
-parse, the handlers back-to-back on NIC cores, tx DMA. Zero copies, zero
-context switches, zero interrupts, and — the headline — **zero host-core
-cost**. Anything heavier, or arriving while all NIC cores are busy, falls
-back to the ordinary S-SPRIGHT host path (same shared-memory chain, same
-costs), so the NIC is an accelerator, not a cliff.
+S-SPRIGHT with one :class:`~.xdp_accel.NicComputeEngine` per node, and
+offload is decided per function (match-action expressible + under the
+NIC's service-time ceiling):
+
+* When *every* function in a request's call sequence is eligible and every
+  engine the request touches can reserve a core up front, the request never
+  crosses the PCIe boundary — rx DMA, XDP parse, the handlers back-to-back
+  on NIC cores (NIC-to-NIC across the fabric between nodes), tx DMA. Zero
+  copies, zero context switches, zero interrupts, and — the headline —
+  **zero host-core cost**.
+* Otherwise the request takes the ordinary S-SPRIGHT host chain, where an
+  eligible function still runs on its node's engine, one more hop kind
+  with a PCIe DMA in and out; without a free NIC core its host pods serve
+  it. The NIC is an accelerator, not a cliff.
 """
 
 from __future__ import annotations
@@ -31,46 +36,88 @@ class LambdaNicDataplane(SSprightDataplane):
     def __init__(self, *args, nic_model: Optional[NicComputeModel] = None, **kwargs):
         super().__init__(*args, **kwargs)
         self._nic_model = nic_model
-        self.nic: Optional[NicComputeEngine] = None
+        #: node name -> that node's NIC engine
+        self.engines: dict[str, NicComputeEngine] = {}
+        #: function name -> its node's engine, or None when not eligible
+        self._engine_of: dict[str, Optional[NicComputeEngine]] = {}
 
     def _setup_transport(self) -> None:
         super()._setup_transport()
-        self.nic = NicComputeEngine(self.node, self._nic_model)
+        for host in self.hosts:
+            engine = getattr(host.nic, "offload_engine", None)
+            self.engines[host.name] = engine or NicComputeEngine(host, self._nic_model)
+        for name, spec in self.functions.items():
+            host = self.node_of[name]
+            engine = self.engines[host.name]
+            eligible = engine.eligible(spec)
+            self._engine_of[name] = engine if eligible else None
+            if eligible:
+                self.runtimes[host.name].offload(name, engine, spec)
 
     # -- request path -------------------------------------------------------
     def handle_request(self, request: Request):
-        nic = self.nic
-        assert nic is not None, "deploy() must run before handle_request()"
-        specs = [self.functions[name] for name in request.request_class.sequence]
-        if all(nic.eligible(spec) for spec in specs) and nic.try_reserve():
-            try:
-                yield from self._serve_at_nic(request, specs)
-            finally:
-                nic.release()
-            return request
-        # Heavy function in the sequence, or NIC compute budget exhausted:
-        # the host plane serves it — the λ-NIC fallback contract.
-        self.node.counters.incr(f"{self.plane}/host_fallbacks")
-        result = yield from super().handle_request(request)
-        return result
+        engines = self._reserve_engines(request.request_class.sequence)
+        if engines is None:
+            result = yield from super().handle_request(request)
+            return result
+        try:
+            yield from self._serve_at_nic(request)
+        finally:
+            for engine in engines:
+                engine.release()
+        return request
 
-    def _serve_at_nic(self, request: Request, specs):
+    def _reserve_engines(self, sequence) -> Optional[list]:
+        """One core on every engine the sequence touches, or None (host chain)."""
+        engines: list[NicComputeEngine] = []
+        for name in sequence:
+            engine = self._engine_of[name]
+            if engine is None:
+                break
+            if engine in engines:
+                continue
+            if not engine.try_reserve():
+                engine.node.counters.incr(f"{self.plane}/host_fallbacks")
+                break
+            engines.append(engine)
+        else:
+            return engines
+        for engine in engines:
+            engine.release()
+        return None
+
+    def _serve_at_nic(self, request: Request):
         """Generator: the whole call sequence on NIC cores (no host CPU)."""
         env = self.node.env
         costs = self.node.config.costs
+        sequence = request.request_class.sequence
         request.mark("nic_ingress", env.now)
         span = request.span_begin(
-            "nic:offload", "nic", fns=len(specs), bytes=len(request.payload)
+            "nic:offload", "nic", fns=len(sequence), bytes=len(request.payload)
         )
         # Frame lands in NIC SRAM: rx DMA + XDP parse/steer.
         yield env.timeout(costs.nic_dma + costs.xdp_fixed)
         payload = request.payload
-        for spec in specs:
-            result = yield from self.nic.execute(spec, payload)
+        at = self.node
+        for name in sequence:
+            if self.node_of[name] is not at:
+                payload = yield from self._nic_to_nic(at, self.node_of[name], payload, request)
+                at = self.node_of[name]
+            result = yield from self._engine_of[name].execute(self.functions[name], payload)
             payload = result.payload
+        if at is not self.node:
+            payload = yield from self._nic_to_nic(at, self.node, payload, request)
         # Response leaves straight from the NIC: tx DMA only.
         yield env.timeout(costs.nic_dma)
         request.span_end(span, offloaded=True)
         self.node.counters.incr(f"{self.plane}/offloaded")
         request.response = payload
         request.mark("nic_response", env.now)
+
+    def _nic_to_nic(self, src, dst, payload: bytes, request: Request):
+        """Generator: SmartNIC to SmartNIC across the fabric, no host work."""
+        payload = yield from self.fabric.transfer(
+            src, dst, payload, ops_tx=None, ops_rx=None, request=request,
+            nic_sourced=True, nic_terminated=True,
+        )
+        return payload

@@ -64,6 +64,7 @@ class _SprightBase(Dataplane):
             overhead_cpu=self.params.ingress_overhead_cpu,
         )
         self.runtime: Optional[SprightChainRuntime] = None
+        self.runtimes: dict[str, SprightChainRuntime] = {}
         self.xdp: Optional[XdpAccelerator] = None
         # §3.6: protocol adaptation hook on the gateway datapath, with the
         # three stock adapters pre-loaded (more can be loaded at runtime).
@@ -73,22 +74,35 @@ class _SprightBase(Dataplane):
         self.adapter_hook.load(CoapAdapter())
 
     def _setup_transport(self) -> None:
-        self.runtime = SprightChainRuntime(
-            self.node,
-            chain_name=self.chain_name,
-            plane=self.plane,
-            transport_kind=self.transport_kind,
-            metrics_server=self.metrics_server,
-            gateway_cores=self.params.gateway_cores,
-            security_enabled=self.params.security_enabled,
-            pool_capacity=self.params.pool_capacity,
-            pool_buffer_size=self.params.pool_buffer_size,
-            sanitize=self.params.sanitize,
-        )
-        if self.routes:
-            self.runtime.routing.load_routes(self.routes)
+        # One chain runtime (pool, transport, gateway, scavenger) per node;
+        # ``runtime`` is the ingress node's.
+        for host in self.hosts:
+            runtime = SprightChainRuntime(
+                host,
+                chain_name=self.chain_name,
+                plane=self.plane,
+                transport_kind=self.transport_kind,
+                metrics_server=self.metrics_server,
+                gateway_cores=self.params.gateway_cores,
+                security_enabled=self.params.security_enabled,
+                pool_capacity=self.params.pool_capacity,
+                pool_buffer_size=self.params.pool_buffer_size,
+                sanitize=self.params.sanitize,
+            )
+            if self.routes:
+                runtime.routing.load_routes(self.routes)
+            runtime.fabric = self.fabric
+            self.runtimes[host.name] = runtime
+        self.runtime = self.runtimes[self.node.name]
         for name, deployment in self.deployments.items():
-            self.runtime.attach_deployment(name, deployment)
+            home = self.runtimes[self.node_of[name].name]
+            home.attach_deployment(name, deployment)
+            for runtime in self.runtimes.values():
+                if runtime is not home:
+                    runtime.connect(name, home)
+        for runtime in self.runtimes.values():
+            if runtime is not self.runtime:
+                runtime.upstream = self.runtime
         if self.params.use_xdp_acceleration:
             self.xdp = XdpAccelerator(self.node)
             self.xdp.install_route(
@@ -147,6 +161,7 @@ class _SprightBase(Dataplane):
             done=Event(self.node.env),
             remaining=list(request.request_class.sequence[1:]),
             topic=request.request_class.topic,
+            owner=runtime,
         )
         request.mark("gateway", self.node.env.now)
         head = request.request_class.sequence[0]
@@ -221,6 +236,10 @@ class _SprightBase(Dataplane):
     def select_pod(self, deployment, exclude=None):
         """SPRIGHT load-balances by residual capacity (§3.2.3)."""
         return deployment.pick_residual_capacity(exclude)
+
+    def teardown(self) -> None:
+        for runtime in self.runtimes.values():
+            runtime.teardown()
 
 
 class SSprightDataplane(_SprightBase):

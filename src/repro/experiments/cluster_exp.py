@@ -1,6 +1,11 @@
 """Cluster experiment: nodes × placement policy × plane (§3.8 + λ-NIC).
 
-Two questions, one sweep:
+Each cell builds the plane through :func:`~.common.build_plane` with a
+placement, so it runs the plane's own request path: same-node hops pay
+the plane's transport (kernel legs, SPROXY in the eBPF VM, rings) and
+each node boundary one serialized fabric transfer. Knative's broker stays
+on the ingress node and pays two transfers per remote function; SPRIGHT
+crossings land in the receiving node's gateway. Two questions, one sweep:
 
 1. **Does chain-locality placement win for SPRIGHT?** Every node boundary
    a placement introduces turns a ~2 µs shared-memory descriptor hop into
@@ -14,10 +19,13 @@ Two questions, one sweep:
    and ``lambda-nic``: the latter intercepts requests at the NIC's XDP
    layer and serves them on NIC cores, so its host CPU should collapse to
    the budget-fallback residue. The mixed chain (with a 200 µs heavy
-   function the NIC refuses) shows the host fallback engaging.
+   function the NIC refuses) takes the host chain, its short functions
+   still on the NICs: the host fallback engages per function.
 
-The report ends with computed verdict lines; CI diffs the whole sanitized
-3-node report against ``tests/goldens/cluster-smoke.txt``.
+:class:`ClusterRun` reads hops from the fabric, host CPU from every
+node's ledger, and NIC cores and leaked slots from the per-node engines
+and chain runtimes. The report ends with computed verdict lines; CI diffs
+the whole sanitized 3-node report against ``tests/goldens/cluster-smoke.txt``.
 """
 
 from __future__ import annotations
@@ -27,15 +35,17 @@ from typing import Optional, Sequence
 
 from ..cluster import (
     POLICIES,
-    ClusterDataplane,
+    ClusterFabric,
     ClusterScheduler,
+    FunctionPlacement,
     NodeDescriptor,
     build_cluster,
 )
-from ..dataplane import RequestClass
+from ..dataplane import Dataplane, RequestClass, SprightParams
 from ..runtime import ChainSpec, FunctionSpec
 from ..stats import LatencyRecorder, format_table
 from ..workloads import ClosedLoopGenerator, WeightedMix
+from .common import build_plane
 
 #: default plane set for the sweep (knative/d-spright accepted via --planes)
 CLUSTER_PLANES = ("grpc", "s-spright", "lambda-nic")
@@ -92,7 +102,7 @@ class ClusterRun:
     nodes: int
     duration: float
     recorder: LatencyRecorder
-    dataplane: ClusterDataplane
+    dataplane: Dataplane
     extras: dict = field(default_factory=dict)
 
     @property
@@ -105,19 +115,73 @@ class ClusterRun:
 
     @property
     def hops_per_request(self) -> float:
-        return self.dataplane.per_request_hops()
+        """Cross-node transfers per completed request."""
+        completed = self.dataplane.requests_completed
+        return self.dataplane.fabric.xnode_hops / completed if completed else 0.0
 
     @property
     def host_cpu_percent(self) -> float:
-        return self.dataplane.host_cpu_percent(self.duration)
+        """Host CPU of the plane's tags, summed over every node (core-%)."""
+        return sum(
+            node.cpu_percent_prefix(f"{self.dataplane.plane}/", self.duration)
+            for node in self.dataplane.fabric.nodes.values()
+        )
 
     @property
     def nic_cores(self) -> float:
-        return self.dataplane.nic_cpu_cores(self.duration)
+        return sum(
+            engine.nic_cpu_cores(self.duration) for engine in _engines(self.dataplane)
+        )
 
     @property
     def leaked_slots(self) -> int:
-        return self.dataplane.leaked_slots()
+        return leaked_slots(self.dataplane)
+
+    @property
+    def offloaded(self) -> int:
+        """Function runs on NIC cores."""
+        return sum(engine.offloaded for engine in _engines(self.dataplane))
+
+    @property
+    def host_serves(self) -> int:
+        """Function runs on host pods."""
+        return sum(
+            pod.served
+            for deployment in self.dataplane.deployments.values()
+            for pod in deployment.pods
+        )
+
+
+def leaked_slots(dataplane: Dataplane) -> int:
+    """Shared-memory buffers still allocated on any node (call after a drain)."""
+    return sum(
+        runtime.pool.capacity - runtime.pool.free_count
+        for runtime in getattr(dataplane, "runtimes", {}).values()
+    )
+
+
+def _engines(dataplane: Dataplane) -> list:
+    return list(getattr(dataplane, "engines", {}).values())
+
+
+def place_chain(
+    fabric: ClusterFabric,
+    chain: ChainSpec,
+    policy: str,
+    capacity: Optional[float] = None,
+) -> FunctionPlacement:
+    """Place ``chain`` on ``fabric``'s nodes under ``policy``, bound to it."""
+    scheduler = ClusterScheduler(
+        [
+            NodeDescriptor(
+                name=name, cores=capacity or scheduler_capacity(len(fabric.nodes))
+            )
+            for name in fabric.nodes
+        ]
+    )
+    placement = scheduler.place(chain, policy)
+    placement.fabric = fabric
+    return placement
 
 
 def build_cluster_plane(
@@ -128,18 +192,19 @@ def build_cluster_plane(
     chain_factory=mixed_chain,
     capacity: Optional[float] = None,
     sanitize: Optional[bool] = None,
-) -> ClusterDataplane:
-    """Build a cluster, place the chain under ``policy``, wire the plane."""
+) -> Dataplane:
+    """Build a cluster, place the chain under ``policy``, build the plane on
+    the placement with its ingress on the entry function's node."""
     chain = chain_factory()
     fabric = build_cluster(nodes, seed=seed, cores=8)
-    scheduler = ClusterScheduler(
-        [
-            NodeDescriptor(name=name, cores=capacity or scheduler_capacity(nodes))
-            for name in fabric.nodes
-        ]
+    placement = place_chain(fabric, chain, policy, capacity)
+    return build_plane(
+        plane,
+        fabric.nodes[placement.node_of(chain.function_names[0])],
+        list(chain.functions),
+        spright_params=SprightParams(sanitize=sanitize),
+        placement=placement,
     )
-    placement = scheduler.place(chain, policy)
-    return ClusterDataplane(fabric, chain, plane, placement, sanitize=sanitize)
 
 
 def run_cluster_case(
@@ -164,9 +229,9 @@ def run_cluster_case(
     )
     env = dataplane.fabric.env
     recorder = LatencyRecorder()
-    request_class = RequestClass("seq", sequence=dataplane.chain.function_names)
+    request_class = RequestClass("seq", sequence=list(dataplane.functions))
     generator = ClosedLoopGenerator(
-        dataplane.ingress_node,
+        dataplane.node,
         dataplane,
         WeightedMix([request_class]),
         recorder,
@@ -270,8 +335,8 @@ def compute_verdicts(sweep: dict) -> list[str]:
 
     lambda_runs = [r for r in runs if r.plane == "lambda-nic"]
     if lambda_runs:
-        offloaded = sum(r.dataplane.offloaded for r in lambda_runs)
-        host_served = sum(r.dataplane.host_serves for r in lambda_runs)
+        offloaded = sum(r.offloaded for r in lambda_runs)
+        host_served = sum(r.host_serves for r in lambda_runs)
         engaged = offloaded > 0 and host_served > 0
         verdicts.append(
             "verdict: lambda-nic heavy-function host fallback engaged "
@@ -316,8 +381,8 @@ def format_report(sweep: dict) -> str:
             f"{run.p99_ms:.3f}",
             f"{run.host_cpu_percent:.1f}",
             f"{run.nic_cores:.2f}",
-            run.dataplane.offloaded,
-            run.dataplane.host_serves,
+            run.offloaded,
+            run.host_serves,
         ]
         for run in probe.values()
     ]

@@ -13,7 +13,6 @@ EXPERIMENTS.md compares.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -96,12 +95,18 @@ def build_plane(
     knative_params: Optional[KnativeParams] = None,
     spright_params: Optional[SprightParams] = None,
     cold_start: bool = False,
+    placement=None,
 ):
-    """Construct and deploy one of the four planes by name."""
+    """Construct and deploy one of the five planes by name.
+
+    ``placement`` (a fabric-bound :class:`~repro.cluster.FunctionPlacement`)
+    spreads the functions over cluster nodes, ``node`` being the ingress;
+    None keeps every function on ``node``.
+    """
     plane_cls = PLANES.get(name)
     if plane_cls is None:
         raise KeyError(f"unknown plane {name!r}; choose from {sorted(PLANES)}")
-    kwargs: dict = {"kubelet": kubelet, "cold_start": cold_start}
+    kwargs: dict = {"kubelet": kubelet, "cold_start": cold_start, "placement": placement}
     if plane_cls is KnativeDataplane and knative_params is not None:
         kwargs["params"] = knative_params
     if issubclass(plane_cls, (SSprightDataplane, DSprightDataplane)):
@@ -222,9 +227,3 @@ def geometric_concurrency_levels(maximum: int = 512) -> list[int]:
         levels.append(level)
         level *= 2
     return levels
-
-
-def ratio(numerator: float, denominator: float) -> float:
-    if denominator == 0:
-        return math.inf
-    return numerator / denominator

@@ -22,7 +22,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 #: The classic SRE paired windows, scaled for simulation horizons: (short
 #: window s, long window s, burn-rate factor). Defaults are much shorter
@@ -302,31 +302,3 @@ class SloBoard:
             if self.monitors[name].firing(now)
         ]
 
-
-def targets_from_registry(
-    registry,
-    prefix: str = "traffic",
-    objective: float = 0.99,
-    threshold_s: float = 0.25,
-    windows: Sequence[tuple[float, float, float]] = DEFAULT_WINDOWS,
-) -> list[SloTarget]:
-    """One target per function that has ``<prefix>/<fn>/requests`` counters."""
-    names = []
-    for metric in registry.counters():
-        parts = metric.name.split("/")
-        if (
-            len(parts) == 3
-            and parts[0] == prefix
-            and parts[2] == "requests"
-            and parts[1] != "total"
-        ):
-            names.append(parts[1])
-    return [
-        SloTarget(
-            name=name,
-            objective=objective,
-            latency_threshold_s=threshold_s,
-            windows=tuple(tuple(w) for w in windows),
-        )
-        for name in sorted(names)
-    ]

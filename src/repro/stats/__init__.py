@@ -10,7 +10,7 @@ from .recorder import (
     summarize,
     window_percentile_cells_ms,
 )
-from .export import read_json, series_to_rows, write_csv, write_json
+from .export import read_json, write_csv, write_json
 from .tables import format_table, ms, pct
 from .tracing import overhead_time, service_time, waterfall
 
@@ -21,7 +21,6 @@ __all__ = [
     "confidence_interval_99",
     "format_table",
     "read_json",
-    "series_to_rows",
     "write_csv",
     "write_json",
     "ms",

@@ -53,7 +53,3 @@ def write_csv(
         for row in rows:
             writer.writerow(list(row))
     return target
-
-
-def series_to_rows(series: Iterable[tuple]) -> list[list]:
-    return [list(point) for point in series]

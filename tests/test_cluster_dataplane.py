@@ -1,12 +1,18 @@
 """End-to-end cluster dataplane runs: hops, identity guards, λ-NIC, and
 composition with the shared Dataplane request path."""
 
+import hashlib
 from pathlib import Path
 
+import pytest
+
 from repro import obs
-from repro.dataplane import Dataplane, Request, RequestClass, ShedError
+from repro.cluster import build_cluster
+from repro.dataplane import Dataplane, NicComputeEngine, NicComputeModel
+from repro.dataplane import Request, RequestClass, ShedError
 from repro.experiments import audits, cluster_exp
 from repro.experiments.cluster_exp import run_cluster_case
+from repro.experiments.common import build_plane, make_node
 from repro.faults import FaultKind, FaultPlan, FaultSpec, ResiliencePolicy, load_plan
 from repro.recovery import AdmissionPolicy
 from repro.runtime import ChainSpec, FunctionSpec
@@ -19,10 +25,13 @@ def _small(plane, policy, nodes, **kwargs):
 
 
 def test_every_plane_completes_with_engineered_hops_and_no_leaks():
+    # chain_locality puts [f1 f2 f3] on the ingress node, [f4 f5] and [f6]
+    # elsewhere: 3 boundaries on the chain walk. Knative's broker stays on
+    # the ingress node and mediates each of the 3 remote visits both ways.
     for plane in cluster_exp.ALL_PLANES:
         run = _small(plane, "chain_locality", 3)
         assert run.recorder.count("") > 0, plane
-        assert run.hops_per_request == 3.0, plane
+        assert run.hops_per_request == (6.0 if plane == "knative" else 3.0), plane
         assert run.leaked_slots == 0, plane
 
 
@@ -94,7 +103,7 @@ def test_traced_multinode_run_is_byte_identical_to_untraced():
         twin = traced.dataplane.fabric.nodes[name]
         assert twin.counters.as_dict() == node.counters.as_dict(), name
 
-    tracer = traced.dataplane.ingress_node.obs.tracer
+    tracer = traced.dataplane.node.obs.tracer
     assert tracer is not None
     legs = [s for s in tracer.spans if s.name == "leg:xnode"]
     assert legs, "cross-node legs should open spans when traced"
@@ -102,7 +111,53 @@ def test_traced_multinode_run_is_byte_identical_to_untraced():
     assert {s.attrs["protocol"] for s in legs} == {"grpc"}
 
 
+# --- one request path: a 1-node placement is the single-node plane ----------
+
+
+@pytest.mark.parametrize("plane", cluster_exp.ALL_PLANES)
+def test_one_node_placement_is_the_single_node_plane(plane):
+    """Same requests, latencies, counters and CPU ledger, to the bit."""
+
+    def outcome(dataplane):
+        finished = _closed_loop(dataplane, users=8, duration=0.2)
+        latencies = [r.latency for r in finished if not r.failed]
+        node = dataplane.node
+        return (
+            dataplane.requests_completed,
+            hashlib.sha256(repr(latencies).encode()).hexdigest(),
+            node.counters.as_dict(),
+            dict(node.cpu.accounting.total_busy),
+        )
+
+    clustered = cluster_exp.build_cluster_plane(plane, "chain_locality", 1)
+    # build_cluster(1, cores=8) is make_node's 0.2 scale of 40 cores.
+    single = build_plane(
+        plane, make_node(scale=0.2), list(cluster_exp.mixed_chain().functions)
+    )
+    assert outcome(clustered) == outcome(single)
+    assert clustered.fabric.xnode_hops == 0
+
+
 # --- λ-NIC offload plane ----------------------------------------------------
+
+
+def test_lambda_nic_short_chain_costs_no_host_cpu_when_the_nic_has_room():
+    """Two NIC-executed functions pay no host hop between them: with
+    enough NIC cores that no request falls back, the plane's host tags
+    record nothing at all."""
+    chain = cluster_exp.short_chain()
+    fabric = build_cluster(1, cores=8)
+    node = fabric.nodes["worker-1"]
+    NicComputeEngine(node, NicComputeModel(cores=64.0))
+    placement = cluster_exp.place_chain(fabric, chain, "chain_locality")
+    dataplane = build_plane(
+        "lambda-nic", node, list(chain.functions), placement=placement
+    )
+    finished = _closed_loop(dataplane, users=16)
+    assert finished and not any(r.failed for r in finished)
+    assert _counter(node, "nic/budget_fallbacks") == 0
+    assert _counter(node, "lambdanic/offloaded") == len(finished)
+    assert node.cpu_percent_prefix("lambdanic/", 0.3) == 0.0
 
 
 def test_lambda_nic_entry_path_skips_the_host():
@@ -120,7 +175,7 @@ def test_lambda_nic_entry_path_skips_the_host():
         chain_factory=cluster_exp.short_chain,
         duration=0.5,
     )
-    assert nic.dataplane.offloaded > 0
+    assert nic.offloaded > 0
     assert nic.nic_cores > 0.0
     assert nic.host_cpu_percent < max(10.0, 0.1 * host.host_cpu_percent)
     assert nic.p99_ms < host.p99_ms
@@ -130,8 +185,8 @@ def test_lambda_nic_heavy_function_falls_back_to_host_pods():
     run = _small("lambda-nic", "chain_locality", 3)
     # The 200 µs f4 is over the NIC ceiling: every request touches a host
     # pod for it, while the short functions ride the NIC.
-    assert run.dataplane.offloaded > 0
-    assert run.dataplane.host_serves >= run.recorder.count("")
+    assert run.offloaded > 0
+    assert run.host_serves >= run.recorder.count("")
     assert run.leaked_slots == 0
 
 
@@ -148,7 +203,7 @@ def _cluster(plane="s-spright", policy="chain_locality", nodes=3, chain=None):
 def _closed_loop(dataplane, users, duration=0.3, drain=0.5, think=0.0007):
     """Drive ``users`` closed-loop clients; return every finished request."""
     env = dataplane.node.env
-    request_class = RequestClass("seq", sequence=dataplane.chain.function_names)
+    request_class = RequestClass("seq", sequence=list(dataplane.functions))
     finished = []
 
     def user():
@@ -174,8 +229,8 @@ def _counter(node, name):
 def test_cluster_plane_is_a_dataplane():
     dataplane = _cluster()
     assert isinstance(dataplane, Dataplane)
-    assert dataplane.node is dataplane.ingress_node
-    assert set(dataplane.deployments) == set(dataplane.chain.function_names)
+    assert dataplane.node is dataplane.node_of["f1"]
+    assert set(dataplane.deployments) == set(dataplane.functions)
 
 
 def test_admission_sheds_at_the_cluster_front_door():
@@ -183,10 +238,10 @@ def test_admission_sheds_at_the_cluster_front_door():
     dataplane.use_admission(AdmissionPolicy(queue_limit=8))
     finished = _closed_loop(dataplane, users=64)
     shed = [r for r in finished if r.failed]
-    assert _counter(dataplane.node, "xc-sspright/shed") == len(shed) > 0
+    assert _counter(dataplane.node, "sspright/shed") == len(shed) > 0
     assert all(isinstance(r.error, ShedError) for r in shed)
     assert any(not r.failed for r in finished)
-    assert dataplane.leaked_slots() == 0
+    assert cluster_exp.leaked_slots(dataplane) == 0
 
 
 def test_lossy_cluster_fails_without_policy_and_recovers_with_retries():
@@ -205,7 +260,7 @@ def test_lossy_cluster_fails_without_policy_and_recovers_with_retries():
     resilient, finished = run(ResiliencePolicy(timeout=0.05, retries=2))
     assert finished and not any(r.failed for r in finished)
     assert _counter(resilient.node, "faults/resilience/retry") > 0
-    assert resilient.leaked_slots() == 0
+    assert cluster_exp.leaked_slots(resilient) == 0
 
 
 def test_pod_crash_on_a_cluster_node_finds_its_target():
@@ -223,7 +278,7 @@ def test_pod_crash_on_a_cluster_node_finds_its_target():
     assert _counter(host, "faults/injected/no_target") == 0
     assert _counter(dataplane.node, "faults/resilience/retry") > 0
     assert any(not r.failed for r in finished)
-    assert dataplane.leaked_slots() == 0
+    assert cluster_exp.leaked_slots(dataplane) == 0
 
 
 # --- pod health on the cluster path ------------------------------------------

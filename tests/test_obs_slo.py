@@ -4,14 +4,13 @@ import math
 
 import pytest
 
-from repro.obs.metrics import HistogramMetric, MetricsRegistry
+from repro.obs.metrics import HistogramMetric
 from repro.obs.slo import (
     DEFAULT_WINDOWS,
     BurnRateMonitor,
     SloBoard,
     SloTarget,
     histogram_quantile,
-    targets_from_registry,
 )
 from repro.stats import LatencyRecorder
 
@@ -183,17 +182,3 @@ def test_board_status_handles_empty_monitor():
     assert row["p99_s"] is None
     assert board.firing(1.0) == []
 
-
-def test_targets_from_registry_one_per_function():
-    registry = MetricsRegistry()
-    registry.counter("traffic/fn-a/requests")
-    registry.counter("traffic/fn-b/requests")
-    registry.counter("traffic/total/requests")     # aggregate: excluded
-    registry.counter("traffic/fn-a/cold_starts")   # wrong leaf: excluded
-    registry.counter("ops/s-spright/copy")         # wrong prefix: excluded
-    targets = targets_from_registry(
-        registry, objective=0.95, threshold_s=0.5
-    )
-    assert [target.name for target in targets] == ["fn-a", "fn-b"]
-    assert all(target.objective == 0.95 for target in targets)
-    assert all(target.latency_threshold_s == 0.5 for target in targets)
