@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Optional
 
 from ..kernel import FiveTuple, NodeConfig
 from ..protocols import HttpRequest, ProtoMessage, decode_frame, decode_request
-from ..protocols import encode_frame, encode_request
+from ..protocols import encode_bytes_field, encode_frame, encode_request
 from ..runtime import WorkerNode
 from ..simcore import DeliveryError, Environment
 
@@ -56,8 +56,7 @@ class LinkSpec:
 def encode_wire(payload: bytes, protocol: str) -> bytes:
     """Frame a payload for the wire with the real codec for ``protocol``."""
     if protocol == "grpc":
-        message = ProtoMessage().set(_PAYLOAD_FIELD, payload)
-        return encode_frame(message.encode())
+        return encode_frame(encode_bytes_field(_PAYLOAD_FIELD, payload))
     if protocol == "http":
         request = HttpRequest(
             method="POST",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..audit import Stage
-from ..protocols import GrpcCall, ProtoMessage
+from ..protocols import encode_bytes_field, encode_frame
 from ..protocols.http2 import HpackCodec, encode_grpc_request
 from .base import Dataplane, Request
 from .legs import chain_step_stage, external_arrival, leg_kernel
@@ -35,25 +35,30 @@ class GrpcDataplane(Dataplane):
         super().__init__(node, functions, **kwargs)
         self.params = params or GrpcParams()
         self.ops = node.ops(f"{self.plane}/stack")
+        # Stack work is charged to the receiving function's kernel-side tag
+        # on the node it runs on.
+        self._stack_ops = {
+            name: host.ops(f"{self.plane}/stack/{name}")
+            for name, host in self.node_of.items()
+        }
         # Long-lived HTTP/2 connections: one HPACK context per destination,
         # so repeated calls compress their headers like real gRPC channels.
-        self._hpack: dict[str, HpackCodec] = {}
+        self._channels: dict[str, tuple[str, HpackCodec]] = {}
         self._streams: dict[str, int] = {}
 
     def encode_call(self, function_name: str, payload: bytes) -> bytes:
         """The real wire bytes: protobuf in a gRPC frame in HTTP/2 frames."""
-        call = GrpcCall(
-            service=f"hipstershop.{function_name.title().replace('-', '')}Service",
-            method="Invoke",
-            message=ProtoMessage().set(1, payload),
-        )
-        grpc_frame = call.encode()
+        grpc_frame = encode_frame(encode_bytes_field(1, payload))
         if not self.params.use_http2_framing:
             return grpc_frame
-        codec = self._hpack.setdefault(function_name, HpackCodec())
+        channel = self._channels.get(function_name)
+        if channel is None:
+            service = f"hipstershop.{function_name.title().replace('-', '')}Service"
+            channel = self._channels[function_name] = (f"/{service}/Invoke", HpackCodec())
+        path, codec = channel
         stream_id = self._streams.get(function_name, 1)
         self._streams[function_name] = stream_id + 2  # client streams are odd
-        return encode_grpc_request(codec, call.path, grpc_frame, stream_id=stream_id)
+        return encode_grpc_request(codec, path, grpc_frame, stream_id=stream_id)
 
     def handle_request(self, request: Request):
         trace = request.trace
@@ -65,7 +70,7 @@ class GrpcDataplane(Dataplane):
         wire = self.encode_call(head, payload)
         span = request.span_begin("leg:external", "leg", bytes=len(wire))
         yield from external_arrival(
-            self.deployment_ops(head), len(wire), trace, Stage.STEP_1
+            self._stack_ops[head], len(wire), trace, Stage.STEP_1
         )
         request.span_end(span)
 
@@ -83,7 +88,7 @@ class GrpcDataplane(Dataplane):
                 )
                 if self.node_of[previous] is self.node_of[function_name]:
                     yield from leg_kernel(
-                        self.deployment_ops(function_name), len(wire), trace, stage
+                        self._stack_ops[function_name], len(wire), trace, stage
                     )
                 else:
                     payload = yield from self._cross(previous, function_name, payload, request)
@@ -106,18 +111,14 @@ class GrpcDataplane(Dataplane):
         request.response = response
         return request
 
-    def deployment_ops(self, function_name: str):
-        """Charge stack work to the receiving function's kernel-side tag."""
-        return self.node_of[function_name].ops(f"{self.plane}/stack/{function_name}")
-
     def _cross(self, sender: str, receiver: str, payload: bytes, request: Request):
         """Generator: one call between functions on different nodes."""
         payload = yield from self.fabric.transfer(
             self.node_of[sender],
             self.node_of[receiver],
             payload,
-            ops_tx=self.deployment_ops(sender),
-            ops_rx=self.deployment_ops(receiver),
+            ops_tx=self._stack_ops[sender],
+            ops_rx=self._stack_ops[receiver],
             request=request,
         )
         return payload

@@ -8,6 +8,7 @@ from .grpc_codec import (
     ProtoMessage,
     decode_frame,
     decode_varint,
+    encode_bytes_field,
     encode_frame,
     encode_varint,
 )
@@ -69,6 +70,7 @@ __all__ = [
     "decode_request",
     "decode_response",
     "decode_varint",
+    "encode_bytes_field",
     "encode_frame",
     "encode_request",
     "encode_response",

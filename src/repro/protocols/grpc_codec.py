@@ -10,6 +10,7 @@ implement the two layers that matter for serialization accounting:
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -25,9 +26,15 @@ class GrpcError(Exception):
 
 # -- varints -------------------------------------------------------------------
 
+#: Every one-byte varint, prebuilt.
+_SMALL_VARINTS = tuple(bytes((value,)) for value in range(128))
+
+
 def encode_varint(value: int) -> bytes:
     if value < 0:
         raise GrpcError("varints here are unsigned")
+    if value < 128:
+        return _SMALL_VARINTS[value]
     out = bytearray()
     while True:
         byte = value & 0x7F
@@ -55,6 +62,12 @@ def decode_varint(raw: bytes, offset: int = 0) -> tuple[int, int]:
         shift += 7
         if shift > 63:
             raise GrpcError("varint too long")
+
+
+def encode_bytes_field(number: int, data: bytes) -> bytes:
+    """One length-delimited field: ``ProtoMessage().set(number, data).encode()``
+    for bytes ``data``, without building the message."""
+    return encode_varint(number << 3 | WIRE_LEN) + encode_varint(len(data)) + data
 
 
 # -- protobuf-style message ------------------------------------------------------
@@ -97,9 +110,7 @@ class ProtoMessage:
                 out += encode_varint(value)
             else:
                 data = value.encode() if isinstance(value, str) else value
-                out += encode_varint((number << 3) | WIRE_LEN)
-                out += encode_varint(len(data))
-                out += data
+                out += encode_bytes_field(number, data)
         return bytes(out)
 
     @classmethod
@@ -126,22 +137,25 @@ class ProtoMessage:
 # -- gRPC framing ------------------------------------------------------------------
 
 FRAME_HEADER_SIZE = 5
+#: ``[compressed:1][length:4]``
+_FRAME_HEADER = struct.Struct(">BI")
 
 
 def encode_frame(message: bytes, compressed: bool = False) -> bytes:
     """Length-prefixed gRPC message frame."""
-    return bytes([1 if compressed else 0]) + len(message).to_bytes(4, "big") + message
+    return _FRAME_HEADER.pack(1 if compressed else 0, len(message)) + message
 
 
 def decode_frame(raw: bytes) -> tuple[bytes, bool]:
     """Returns (message, compressed)."""
     if len(raw) < FRAME_HEADER_SIZE:
         raise GrpcError("frame shorter than its header")
-    compressed = raw[0] == 1
-    length = int.from_bytes(raw[1:5], "big")
+    flag, length = _FRAME_HEADER.unpack_from(raw)
+    if flag > 1:
+        raise GrpcError(f"compressed flag must be 0 or 1, got {flag}")
     if len(raw) < FRAME_HEADER_SIZE + length:
         raise GrpcError(f"frame truncated: want {length}, have {len(raw) - 5}")
-    return raw[5 : 5 + length], compressed
+    return raw[5 : 5 + length], flag == 1
 
 
 @dataclass

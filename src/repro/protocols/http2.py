@@ -11,7 +11,8 @@ part we omit) so the bytes the cost model charges for gRPC mode are genuine.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import struct
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 FRAME_HEADER_LEN = 9
@@ -41,6 +42,23 @@ class Flags(enum.IntFlag):
     ACK = 0x1  # for SETTINGS/PING
 
 
+#: The 9-byte frame header as one struct: the 24-bit length and the 8-bit
+#: type share the first word (``length << 8 | type``), then flags and the
+#: stream id.
+_FRAME_HEADER = struct.Struct(">IBI")
+_pack_frame_header = _FRAME_HEADER.pack
+MAX_FRAME_PAYLOAD = 2**24 - 1
+_FRAME_TYPES = {frame_type.value: frame_type for frame_type in FrameType}
+
+
+def _frame_header(length: int, frame_type: int, flags: int, stream_id: int) -> bytes:
+    if length > MAX_FRAME_PAYLOAD:
+        raise Http2Error("frame payload exceeds 24-bit length")
+    if not 0 <= stream_id < 2**31:
+        raise Http2Error("stream id out of 31-bit range")
+    return _pack_frame_header(length << 8 | frame_type, flags, stream_id)
+
+
 @dataclass
 class Frame:
     """One HTTP/2 frame: 9-byte header + payload."""
@@ -51,15 +69,10 @@ class Frame:
     payload: bytes = b""
 
     def encode(self) -> bytes:
-        if len(self.payload) > 2**24 - 1:
-            raise Http2Error("frame payload exceeds 24-bit length")
-        if not 0 <= self.stream_id < 2**31:
-            raise Http2Error("stream id out of 31-bit range")
+        payload = self.payload
         return (
-            len(self.payload).to_bytes(3, "big")
-            + bytes([self.frame_type, self.flags])
-            + self.stream_id.to_bytes(4, "big")
-            + self.payload
+            _frame_header(len(payload), self.frame_type, self.flags, self.stream_id)
+            + payload
         )
 
     @classmethod
@@ -67,19 +80,20 @@ class Frame:
         """Returns (frame, next_offset)."""
         if len(raw) - offset < FRAME_HEADER_LEN:
             raise Http2Error("truncated frame header")
-        length = int.from_bytes(raw[offset : offset + 3], "big")
-        frame_type = FrameType(raw[offset + 3])
-        flags = raw[offset + 4]
-        stream_id = int.from_bytes(raw[offset + 5 : offset + 9], "big") & 0x7FFFFFFF
-        end = offset + FRAME_HEADER_LEN + length
+        length_type, flags, stream_id = _FRAME_HEADER.unpack_from(raw, offset)
+        frame_type = _FRAME_TYPES.get(length_type & 0xFF)
+        if frame_type is None:
+            raise Http2Error(f"unsupported frame type {length_type & 0xFF:#x}")
+        start = offset + FRAME_HEADER_LEN
+        end = start + (length_type >> 8)
         if end > len(raw):
-            raise Http2Error(f"truncated frame payload (want {length} bytes)")
+            raise Http2Error(f"truncated frame payload (want {length_type >> 8} bytes)")
         return (
             cls(
                 frame_type=frame_type,
                 flags=flags,
-                stream_id=stream_id,
-                payload=raw[offset + FRAME_HEADER_LEN : end],
+                stream_id=stream_id & 0x7FFFFFFF,
+                payload=raw[start:end],
             ),
             end,
         )
@@ -224,63 +238,102 @@ def _entry_size(name: str, value: str) -> int:
     return len(name.encode()) + len(value.encode()) + 32  # RFC 7541 §4.1
 
 
+_STATIC_SIZE = len(STATIC_TABLE)
+#: (name, value) -> its first static index, and name -> its first static
+#: index: the linear scan's first match, as two dict lookups. Iterating in
+#: reverse lets the lowest index overwrite the others.
+_STATIC_EXACT = {
+    entry: index for index, entry in reversed(list(enumerate(STATIC_TABLE, 1)))
+}
+_STATIC_NAME = {
+    entry[0]: index for index, entry in reversed(list(enumerate(STATIC_TABLE, 1)))
+}
+
+
 class HpackCodec:
     """Encoder/decoder pair sharing the dynamic-table discipline.
 
     One codec instance models one endpoint's context; use separate
     instances for each direction of a connection.
+
+    ``max_table_size`` is both the table's current size and the limit a
+    peer's dynamic-table-size update may not exceed (the
+    SETTINGS_HEADER_TABLE_SIZE this endpoint advertised); a size update
+    received in :meth:`decode` changes only the former.
+
+    :meth:`encode` keeps the last header block it produced without adding
+    to the table. A block that adds nothing is a pure function of the
+    header list and the table, so while the table is unchanged the same
+    list gets the same block back without being encoded again. Everything
+    that changes the table (:meth:`_add`, a size update in :meth:`decode`,
+    setting ``max_table_size``) drops the kept block.
     """
 
     def __init__(self, max_table_size: int = DEFAULT_HEADER_TABLE_SIZE) -> None:
-        self.max_table_size = max_table_size
         self._dynamic: list[tuple[str, str]] = []  # newest first
         self._dynamic_size = 0
+        self._block: Optional[bytes] = None
+        self._block_headers: list[tuple[str, str]] = []
+        self.max_table_size = max_table_size
+
+    @property
+    def max_table_size(self) -> int:
+        return self._max_size
+
+    @max_table_size.setter
+    def max_table_size(self, size: int) -> None:
+        self._max_size = self._size_limit = size
+        self._block = None
 
     # -- table management ------------------------------------------------------
     def _add(self, name: str, value: str) -> None:
-        size = _entry_size(name, value)
+        self._block = None
         self._dynamic.insert(0, (name, value))
-        self._dynamic_size += size
-        while self._dynamic_size > self.max_table_size and self._dynamic:
+        self._dynamic_size += _entry_size(name, value)
+        self._evict()
+
+    def _evict(self) -> None:
+        while self._dynamic_size > self._max_size and self._dynamic:
             old_name, old_value = self._dynamic.pop()
             self._dynamic_size -= _entry_size(old_name, old_value)
-
-    def _lookup_index(self, name: str, value: str) -> tuple[Optional[int], Optional[int]]:
-        """(exact-match index, name-only index), 1-based HPACK numbering."""
-        exact = None
-        name_only = None
-        for index, (entry_name, entry_value) in enumerate(STATIC_TABLE, start=1):
-            if entry_name == name:
-                if entry_value == value:
-                    return index, index
-                if name_only is None:
-                    name_only = index
-        base = len(STATIC_TABLE)
-        for index, (entry_name, entry_value) in enumerate(self._dynamic, start=1):
-            if entry_name == name:
-                if entry_value == value:
-                    return base + index, base + index
-                if name_only is None:
-                    name_only = base + index
-        return exact, name_only
 
     def _entry_at(self, index: int) -> tuple[str, str]:
         if index <= 0:
             raise Http2Error("HPACK index 0 is invalid")
-        if index <= len(STATIC_TABLE):
+        if index <= _STATIC_SIZE:
             return STATIC_TABLE[index - 1]
-        dynamic_index = index - len(STATIC_TABLE) - 1
+        dynamic_index = index - _STATIC_SIZE - 1
         if dynamic_index >= len(self._dynamic):
             raise Http2Error(f"HPACK index {index} beyond table")
         return self._dynamic[dynamic_index]
 
     # -- encode/decode -----------------------------------------------------------
     def encode(self, headers: Iterable[tuple[str, str]]) -> bytes:
+        if not isinstance(headers, list):
+            headers = list(headers)
+        block = self._block
+        if block is not None and headers == self._block_headers:
+            return block
         out = bytearray()
+        dynamic = self._dynamic
+        added = False
         for name, value in headers:
-            exact, name_index = self._lookup_index(name, value)
-            if exact is not None:
-                out += encode_integer(exact, 7, 0x80)  # indexed field
+            # First match wins: the static table, then the dynamic table
+            # newest first; an exact match anywhere beats a name-only one.
+            index = _STATIC_EXACT.get((name, value))
+            if index is None:
+                name_index = _STATIC_NAME.get(name)
+                for position, (entry_name, entry_value) in enumerate(
+                    dynamic, _STATIC_SIZE + 1
+                ):
+                    if entry_name == name:
+                        if entry_value == value:
+                            index = position
+                            break
+                        if name_index is None:
+                            name_index = position
+            if index is not None:
+                out += encode_integer(index, 7, 0x80)  # indexed field
                 continue
             if name_index is not None:
                 out += encode_integer(name_index, 6, 0x40)  # literal, indexed name
@@ -289,7 +342,12 @@ class HpackCodec:
                 out += _encode_string(name)
             out += _encode_string(value)
             self._add(name, value)
-        return bytes(out)
+            added = True
+        block = bytes(out)
+        if not added:
+            self._block = block
+            self._block_headers = [(name, value) for name, value in headers]
+        return block
 
     def decode(self, raw: bytes) -> list[tuple[str, str]]:
         headers = []
@@ -310,10 +368,14 @@ class HpackCodec:
                 self._add(name, value)
             elif first & 0x20:  # dynamic table size update
                 size, offset = decode_integer(raw, offset, 5)
-                self.max_table_size = size
-                while self._dynamic_size > size and self._dynamic:
-                    name, value = self._dynamic.pop()
-                    self._dynamic_size -= _entry_size(name, value)
+                if size > self._size_limit:  # RFC 7541 §6.3
+                    raise Http2Error(
+                        f"dynamic table size update {size} exceeds the limit "
+                        f"{self._size_limit}"
+                    )
+                self._max_size = size
+                self._block = None
+                self._evict()
             else:  # literal without indexing / never indexed (4-bit prefix)
                 index, offset = decode_integer(raw, offset, 4)
                 if index:
@@ -350,30 +412,22 @@ def encode_grpc_request(
     max_frame_size: int = DEFAULT_MAX_FRAME_SIZE,
 ) -> bytes:
     """One unary gRPC call as HEADERS + DATA frame(s)."""
+    if max_frame_size < 1:
+        raise Http2Error("max_frame_size must be positive")
     header_block = codec.encode(grpc_request_headers(path))
-    frames = [
-        Frame(
-            FrameType.HEADERS,
-            flags=Flags.END_HEADERS,
-            stream_id=stream_id,
-            payload=header_block,
-        )
+    parts = [
+        _frame_header(
+            len(header_block), FrameType.HEADERS, Flags.END_HEADERS, stream_id
+        ),
+        header_block,
     ]
-    chunks = [
-        grpc_frame[start : start + max_frame_size]
-        for start in range(0, len(grpc_frame), max_frame_size)
-    ] or [b""]
-    for position, chunk in enumerate(chunks):
-        last = position == len(chunks) - 1
-        frames.append(
-            Frame(
-                FrameType.DATA,
-                flags=Flags.END_STREAM if last else 0,
-                stream_id=stream_id,
-                payload=chunk,
-            )
-        )
-    return b"".join(frame.encode() for frame in frames)
+    length = len(grpc_frame)
+    # An empty message still gets one (empty) DATA frame to end the stream.
+    for start in range(0, length or 1, max_frame_size):
+        chunk = grpc_frame[start : start + max_frame_size]
+        flags = Flags.END_STREAM if start + max_frame_size >= length else 0
+        parts += (_frame_header(len(chunk), FrameType.DATA, flags, stream_id), chunk)
+    return b"".join(parts)
 
 
 def decode_grpc_request(codec: HpackCodec, raw: bytes) -> tuple[str, bytes]:

@@ -55,6 +55,13 @@ def test_decode_frames_sequence():
     ]
 
 
+def test_unsupported_frame_type_is_an_http2_error():
+    # A PRIORITY (0x2) frame: a valid HTTP/2 type this subset does not model.
+    raw = bytes.fromhex("000005" "02" "00" "00000001") + bytes(5)
+    with pytest.raises(Http2Error, match="unsupported frame type 0x2"):
+        decode_frames(raw)
+
+
 def test_connection_preface_constant():
     assert CONNECTION_PREFACE.startswith(b"PRI * HTTP/2.0")
 
@@ -112,6 +119,21 @@ def test_hpack_decoder_rejects_bad_index():
     codec = HpackCodec()
     with pytest.raises(Http2Error, match="beyond table"):
         codec.decode(bytes([0x80 | 0x7F, 0x7F]))  # enormous index
+
+
+def test_hpack_size_update_over_the_limit_is_a_decoding_error():
+    codec = HpackCodec()  # 4096 bytes
+    with pytest.raises(Http2Error, match="exceeds the limit 4096"):
+        codec.decode(bytes.fromhex("3fe1ff03"))  # size update to 65536
+    assert codec.max_table_size == 4096
+
+
+def test_hpack_size_update_within_the_limit_can_shrink_and_regrow():
+    codec = HpackCodec()
+    codec.decode(encode_integer(100, 5, 0x20))
+    assert codec.max_table_size == 100
+    codec.decode(encode_integer(4096, 5, 0x20))  # the limit is unchanged
+    assert codec.max_table_size == 4096
 
 
 def test_hpack_rejects_huffman():

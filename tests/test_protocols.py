@@ -132,6 +132,13 @@ def test_grpc_frame_truncation_detected():
         decode_frame(raw)
 
 
+def test_grpc_frame_rejects_a_compressed_flag_other_than_0_or_1():
+    raw = bytes([7]) + (1).to_bytes(4, "big") + b"x"
+    with pytest.raises(GrpcError, match="compressed flag must be 0 or 1, got 7"):
+        decode_frame(raw)
+    assert decode_frame(encode_frame(b"x", compressed=True)) == (b"x", True)
+
+
 def test_grpc_call_roundtrip():
     call = GrpcCall(
         service="hipstershop.CurrencyService",
