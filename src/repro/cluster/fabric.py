@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..kernel import FiveTuple, NodeConfig
+from ..kernel.ops import KERNEL_RX, KERNEL_TX
 from ..protocols import HttpRequest, ProtoMessage, decode_frame, decode_request
 from ..protocols import encode_bytes_field, encode_frame, encode_request
 from ..runtime import WorkerNode
@@ -173,12 +174,7 @@ class ClusterFabric:
             # The sending NIC frames and transmits straight from SRAM.
             yield self.env.timeout(costs_tx.xdp_fixed)
         else:
-            tx = ops_tx.bundle()
-            tx.serialize(nbytes, None, None)
-            tx.copy(nbytes, None, None)
-            tx.protocol_processing(nbytes, None, None)
-            tx.interrupt(None, None, count=2)
-            yield tx.commit()
+            yield ops_tx.commit(KERNEL_TX, nbytes)
             yield self.env.timeout(costs_tx.nic_dma)
 
         link = self.link_between(src.name, dst.name)
@@ -190,13 +186,7 @@ class ClusterFabric:
             # consumed there: XDP parse only, zero host rx cost.
             yield self.env.timeout(costs_rx.xdp_fixed)
         else:
-            rx = ops_rx.bundle()
-            rx.protocol_processing(nbytes, None, None)
-            rx.interrupt(None, None, count=2)
-            rx.copy(nbytes, None, None)
-            rx.context_switch(None, None, count=2)
-            rx.deserialize(nbytes, None, None)
-            yield rx.commit()
+            yield ops_rx.commit(KERNEL_RX, nbytes)
 
         self.xnode_hops += 1
         self.bytes_moved += nbytes

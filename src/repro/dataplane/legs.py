@@ -16,9 +16,9 @@ exactly one within-chain column of Table 1. The external arrival
 ``leg_kernel`` is column ② (2/2/4/2/1/1).
 
 Operations inside a leg are audited individually but charged to the CPU as
-one transmit bundle and one receive bundle (sender's cores and receiver's
-cores respectively), which keeps the event count per request low enough to
-simulate the paper's full runs.
+one transmit charge and one receive charge (sender's cores and receiver's
+cores respectively), each a recipe from :mod:`repro.kernel.ops`, which keeps
+the event count per request low enough to simulate the paper's full runs.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from typing import Optional
 
 from ..audit import RequestTrace, Stage
 from ..kernel import KernelOps
+from ..kernel.ops import EXTERNAL_ARRIVAL, KERNEL_RX, KERNEL_TX, LOOPBACK
 from ..simcore import DeliveryError
 
 
@@ -55,13 +56,7 @@ def external_arrival(
     traversal, one kernel->user copy, one context switch into the gateway,
     and one serialization as the gateway re-emits the request.
     """
-    bundle = ops.bundle()
-    bundle.interrupt(trace, stage, count=3)
-    bundle.protocol_processing(nbytes, trace, stage)
-    bundle.copy(nbytes, trace, stage)
-    bundle.context_switch(trace, stage)
-    bundle.serialize(nbytes, trace, stage)
-    yield bundle.commit()
+    yield ops.commit(EXTERNAL_ARRIVAL, nbytes, trace, stage)
     _check_loss(ops, "leg_external")
 
 
@@ -79,21 +74,9 @@ def leg_kernel(
     stack, copy out, wakeups, unmarshal) runs on the receiver's.
     """
     sender = ops_tx or ops_rx
-    tx = sender.bundle()
-    tx.serialize(nbytes, trace, stage)
-    tx.copy(nbytes, trace, stage)
-    tx.protocol_processing(nbytes, trace, stage)
-    tx.interrupt(trace, stage, count=2)
-    yield tx.commit()
+    yield sender.commit(KERNEL_TX, nbytes, trace, stage)
     _check_loss(sender, "leg_kernel")
-
-    rx = ops_rx.bundle()
-    rx.protocol_processing(nbytes, trace, stage)
-    rx.interrupt(trace, stage, count=2)
-    rx.copy(nbytes, trace, stage)
-    rx.context_switch(trace, stage, count=2)
-    rx.deserialize(nbytes, trace, stage)
-    yield rx.commit()
+    yield ops_rx.commit(KERNEL_RX, nbytes, trace, stage)
 
 
 def leg_localhost(
@@ -103,15 +86,7 @@ def leg_localhost(
     stage: Optional[Stage],
 ):
     """Sidecar <-> user container over loopback within one pod."""
-    bundle = ops.bundle()
-    bundle.serialize(nbytes, trace, stage)
-    bundle.copy(nbytes, trace, stage)
-    bundle.protocol_processing(nbytes, trace, stage)
-    bundle.interrupt(trace, stage, count=2)
-    bundle.copy(nbytes, trace, stage)
-    bundle.context_switch(trace, stage, count=2)
-    bundle.deserialize(nbytes, trace, stage)
-    yield bundle.commit()
+    yield ops.commit(LOOPBACK, nbytes, trace, stage)
     _check_loss(ops, "leg_localhost")
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ...audit import Stage
+from ...kernel.ops import GATEWAY_RESPONSE
 from ...runtime import MetricsServer
 from ...simcore import Event, Interrupt
 from ..base import Dataplane, ProxyComponent, Request, RequestClass
@@ -179,11 +180,7 @@ class _SprightBase(Dataplane):
             # ⑨: construct the HTTP response to the external client (costed,
             # outside the audited pipeline like the other planes).
             span = request.span_begin("leg:response", "leg", bytes=len(response))
-            response_bundle = gateway.ops.bundle()
-            response_bundle.serialize(len(response), trace, None)
-            response_bundle.copy(len(response), trace, None)
-            response_bundle.protocol_processing(len(response), trace, None)
-            yield response_bundle.commit()
+            yield gateway.ops.commit(GATEWAY_RESPONSE, len(response))
             request.span_end(span)
         except Interrupt:
             # Cancelled by the resilience layer (timeout / hedge raced out).

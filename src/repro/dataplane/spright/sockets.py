@@ -20,6 +20,7 @@ from ...kernel.ebpf import (
     SockMap,
     programs,
 )
+from ...kernel.ops import SK_MSG_SEND, SK_MSG_SEND_DROPPED, SPROXY_RECEIVE
 from ...mem import PacketDescriptor
 from ...simcore import Store
 
@@ -78,7 +79,6 @@ class SproxySocket:
         side-band message state). Returns True if redirected, False if the
         SPROXY dropped it (unauthorized or unknown destination).
         """
-        costs = self.node.config.costs
         ctx = programs.encode_descriptor_ctx(
             next_fn_id=descriptor.next_fn,
             shm_offset=descriptor.shm_offset,
@@ -91,27 +91,20 @@ class SproxySocket:
         )
         # send() syscall enters the kernel; the SK_MSG programs intercept.
         run = self.hook.fire(data=ctx, scratch=scratch)
-        bundle = ops.bundle()
-        bundle.syscall()
-        bundle.context_switch(trace, stage)
-        bundle.compute(costs.ebpf_run(run.insns_executed))
-        bundle.interrupt(trace, stage)  # sender-side completion softirq
         # The helpers record the redirect target in this run's scratch.
         endpoint = scratch.redirect_endpoint
         if run.verdict != SK_PASS or endpoint is None:
-            yield bundle.commit()
+            yield ops.commit(
+                SK_MSG_SEND_DROPPED, 0, trace, stage, arg=run.insns_executed
+            )
             self.descriptors_dropped += 1
             self.node.counters.incr("spright/descriptors_dropped")
             return False
-        bundle.compute(costs.sockmap_redirect)
-        yield bundle.commit()
+        yield ops.commit(SK_MSG_SEND, 0, trace, stage, arg=run.insns_executed)
         endpoint.deliver_descriptor(item)
         self.descriptors_sent += 1
         return True
 
     def receive(self, ops: "KernelOps", trace, stage):
         """Receiver-side wakeup costs for one delivered descriptor."""
-        bundle = ops.bundle()
-        bundle.interrupt(trace, stage)       # data-ready notification
-        bundle.context_switch(trace, stage)  # wake the function thread
-        yield bundle.commit()
+        yield ops.commit(SPROXY_RECEIVE, 0, trace, stage)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Optional, Sequence, Union
 
 #: A charge's operation attribution: a single op name, or a pre-broken-down
-#: list of (op name, seconds) components from an OpBundle commit.
+#: sequence of (op name, seconds) components from a kernel commit.
 OpAttribution = Union[None, str, Sequence[tuple[str, float]]]
 
 UNTYPED = "untyped"

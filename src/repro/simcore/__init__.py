@@ -24,8 +24,6 @@ from .errors import (
 from .events import AllOf, AnyOf, Condition, ConditionValue, Event, Timeout
 from .process import Process
 from .resources import (
-    PriorityItem,
-    PriorityStore,
     Resource,
     ResourceRequest,
     Store,
@@ -50,8 +48,6 @@ __all__ = [
     "Event",
     "Interrupt",
     "NORMAL",
-    "PriorityItem",
-    "PriorityStore",
     "Process",
     "PsJob",
     "PsServer",

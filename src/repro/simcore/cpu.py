@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from heapq import heappush
 from typing import TYPE_CHECKING, Optional
 
+from .environment import NORMAL
 from .events import Event
 from .resources import Store
 
@@ -44,7 +46,7 @@ class CpuAccounting:
     def record(self, tag: str, start: float, duration: float, op=None) -> None:
         """Attribute ``duration`` seconds of busy time starting at ``start``.
 
-        ``op`` names the operation (or carries an OpBundle's per-operation
+        ``op`` names the operation (or carries a charge's per-operation
         breakdown) for the profiler; it never affects the ledger itself.
         """
         if duration < 0:
@@ -55,11 +57,22 @@ class CpuAccounting:
             self.profiler.record(tag, op, duration)
         self.total_busy[tag] += duration
         width = self.bucket_width
+        index = int(start / width)
+        if duration > 1e-15 and duration <= (index + 1) * width - start:
+            # The loop below, when its first slice is the whole duration.
+            self._buckets[tag][index] += duration
+            return
         remaining = duration
         cursor = start
         while remaining > 1e-15:
             index = int(cursor / width)
             bucket_end = (index + 1) * width
+            if bucket_end <= cursor:
+                # cursor / width rounded down although cursor sits on a
+                # boundary (width 0.1, cursor 4.3 gives bucket 42 ending at
+                # 4.3): take the next bucket, or the slice is empty forever.
+                index += 1
+                bucket_end = (index + 1) * width
             slice_len = min(remaining, bucket_end - cursor)
             self._buckets[tag][index] += slice_len
             cursor += slice_len
@@ -91,18 +104,17 @@ class _Core:
     """One core as a FCFS calendar queue.
 
     Instead of a core process pulling work items off a store (four event-loop
-    rounds per item), the core tracks when it next becomes free: a booked
-    item starts at ``max(now, next_free)`` and its busy interval is recorded
-    immediately; the caller schedules a completion event only if someone
-    waits for it. Semantically identical FCFS behaviour at a fraction of the
-    event count.
+    rounds per item), the core tracks when it next becomes free:
+    :meth:`CpuSet.execute` starts a booked item at ``max(now, next_free)``
+    and records its busy interval immediately, and schedules a completion
+    event only if someone waits for it. Semantically identical FCFS
+    behaviour at a fraction of the event count.
     """
 
-    __slots__ = ("env", "accounting", "index", "next_free", "dedicated_tag")
+    __slots__ = ("env", "index", "next_free", "dedicated_tag")
 
-    def __init__(self, env: "Environment", accounting: CpuAccounting, index: int) -> None:
+    def __init__(self, env: "Environment", index: int) -> None:
         self.env = env
-        self.accounting = accounting
         self.index = index
         self.next_free = 0.0
         self.dedicated_tag: Optional[str] = None
@@ -111,14 +123,6 @@ class _Core:
     def backlog(self) -> float:
         """Seconds of queued work ahead of a new submission."""
         return max(0.0, self.next_free - self.env.now)
-
-    def book(self, now: float, duration: float, tag: str, op=None) -> float:
-        """Queue ``duration`` seconds of work; returns when it completes."""
-        start = now if self.next_free < now else self.next_free
-        end = start + duration
-        self.next_free = end
-        self.accounting.record(tag, start, duration, op=op)
-        return end
 
 
 class DedicatedCore:
@@ -176,7 +180,7 @@ class CpuSet:
         self.env = env
         self.freq_hz = freq_hz
         self.accounting = accounting if accounting is not None else CpuAccounting(bucket_width)
-        self._cores = [_Core(env, self.accounting, index) for index in range(cores)]
+        self._cores = [_Core(env, index) for index in range(cores)]
         self._shared = list(self._cores)
 
     @property
@@ -217,7 +221,7 @@ class CpuSet:
         if not shared:
             raise RuntimeError("all cores are dedicated; no shared core available")
         # Least-loaded dispatch; fast path grabs the first idle core.
-        now = env.now
+        now = env._now
         chosen = None
         best = None
         for core in shared:
@@ -228,13 +232,19 @@ class CpuSet:
             if best is None or free_in < best:
                 best = free_in
                 chosen = core
-        end = chosen.book(now, duration, tag, op=op)
+        # Book the chosen core: FCFS after whatever it already holds.
+        start = chosen.next_free
+        if start < now:
+            start = now
+        end = start + duration
+        chosen.next_free = end
+        self.accounting.record(tag, start, duration, op=op)
         if detached:
             return None
         done = Event(env)
-        done._ok = True
         done._value = None
-        env.schedule(done, delay=end - now)
+        # env.schedule(done, delay=end - now), inlined.
+        heappush(env._queue, (now + (end - now), NORMAL, next(env._eid), done))
         return done
 
     def execute_cycles(
@@ -253,11 +263,3 @@ class CpuSet:
         self._shared.remove(core)
         core.dedicated_tag = tag
         return DedicatedCore(self, core, tag)
-
-    def utilization(self, until: Optional[float] = None) -> float:
-        """Whole-machine utilization in [0, 1] over [0, until)."""
-        horizon = self.env.now if until is None else until
-        if horizon <= 0:
-            return 0.0
-        busy = sum(self.accounting.total_busy.values())
-        return busy / (horizon * self.total_cores)

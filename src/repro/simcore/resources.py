@@ -7,7 +7,6 @@ model: ``put``/``get`` return events that a process yields on.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from math import inf
 from typing import TYPE_CHECKING, Callable, Optional
@@ -127,46 +126,6 @@ class Store:
                     break
                 self._put_waiters.popleft()
                 progressed = True
-
-
-class PriorityItem:
-    """Orderable wrapper pairing a priority with an arbitrary item."""
-
-    __slots__ = ("priority", "item")
-
-    def __init__(self, priority: float, item: object) -> None:
-        self.priority = priority
-        self.item = item
-
-    def __lt__(self, other: "PriorityItem") -> bool:
-        return self.priority < other.priority
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"PriorityItem({self.priority!r}, {self.item!r})"
-
-
-class PriorityStore(Store):
-    """A store that releases the lowest-priority-value item first."""
-
-    def try_put(self, item: object) -> bool:
-        if self.is_full:
-            return False
-        heapq.heappush(self.items, item)  # type: ignore[arg-type]
-        self._trigger()
-        return True
-
-    def __init__(self, env: "Environment", capacity: float = inf) -> None:
-        super().__init__(env, capacity)
-        self.items: list[object] = []  # heap, not deque
-
-    def _do_put(self, event: StorePut) -> None:
-        if len(self.items) < self.capacity:
-            heapq.heappush(self.items, event.item)
-            event.succeed()
-
-    def _do_get(self, event: StoreGet) -> None:
-        if self.items:
-            event.succeed(heapq.heappop(self.items))
 
 
 class ResourceRequest(Event):

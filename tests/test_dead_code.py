@@ -47,10 +47,6 @@ ALLOWED = {
         "ChainSpec convenience constructor used by tests/test_runtime.py",
     "src/repro/scenario/run.py:iter_library":
         "scenario-library iterator used by tests/test_scenario.py",
-    "src/repro/simcore/resources.py:PriorityItem":
-        "priority-queue primitive, tested but not used by a plane",
-    "src/repro/simcore/resources.py:PriorityStore":
-        "priority-queue primitive, tested but not used by a plane",
     "src/repro/stats/export.py:read_json":
         "export round-trip helper used by tests/test_bpftool_export.py",
     "src/repro/stats/export.py:write_csv":

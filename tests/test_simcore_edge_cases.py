@@ -7,8 +7,6 @@ from repro.simcore import (
     CpuSet,
     Environment,
     Event,
-    PriorityItem,
-    PriorityStore,
     Resource,
     SimulationError,
     Store,
@@ -114,23 +112,6 @@ def test_condition_value_keyerror_for_foreign_event():
     env.process(proc(env))
     env.run()
     assert errors == ["keyerror"]
-
-
-def test_priority_store_try_put_respects_heap_order():
-    env = Environment()
-    store = PriorityStore(env)
-    assert store.try_put(PriorityItem(5, "low"))
-    assert store.try_put(PriorityItem(1, "high"))
-    got = []
-
-    def consumer(env):
-        for _ in range(2):
-            item = yield store.get()
-            got.append(item.item)
-
-    env.process(consumer(env))
-    env.run()
-    assert got == ["high", "low"]
 
 
 def test_store_filtered_get_waits_for_matching_item():

@@ -5,8 +5,6 @@ import pytest
 from repro.simcore import (
     CpuSet,
     Environment,
-    PriorityItem,
-    PriorityStore,
     RandomStreams,
     Resource,
     Store,
@@ -109,28 +107,6 @@ def test_store_filtered_get():
     env.run()
     assert got == [4]
     assert list(store.items) == [1, 3]
-
-
-def test_priority_store_orders_by_priority():
-    env = Environment()
-    store = PriorityStore(env)
-    out = []
-
-    def producer(env):
-        yield store.put(PriorityItem(3, "low"))
-        yield store.put(PriorityItem(1, "high"))
-        yield store.put(PriorityItem(2, "mid"))
-
-    def consumer(env):
-        yield env.timeout(1)
-        for _ in range(3):
-            item = yield store.get()
-            out.append(item.item)
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert out == ["high", "mid", "low"]
 
 
 def test_resource_serializes_users():
@@ -269,18 +245,6 @@ def test_cycles_conversion():
     env = Environment()
     cpu = CpuSet(env, cores=1, freq_hz=2.2e9)
     assert cpu.cycles_to_seconds(2.2e9) == pytest.approx(1.0)
-
-
-def test_utilization_counts_all_tags():
-    env = Environment()
-    cpu = CpuSet(env, cores=2)
-
-    def work(env):
-        yield cpu.execute(1.0, tag="a")
-
-    env.process(work(env))
-    env.run(until=2.0)
-    assert cpu.utilization() == pytest.approx(1.0 / 4.0)
 
 
 def test_random_streams_are_independent_and_reproducible():
