@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Optional
 
 from ..audit import RequestTrace
@@ -319,17 +320,11 @@ class Dataplane(abc.ABC):
         deployment = self.deployments[function]
         pod = self.select_pod(deployment, claimed)
         if pod is None:
-            deployment.waiting += 1
-            try:
-                while pod is None:
-                    if not deployment.live_pods():
-                        deployment.scale_to(1)
-                        deployment.note_cold_start()
-                        self.node.counters.incr(f"{self.plane}/cold_starts")
-                    yield deployment.any_servable_event()
-                    pod = self.select_pod(deployment, claimed)
-            finally:
-                deployment.waiting -= 1
+            pod = yield from deployment.wait_for_pod(
+                partial(self.select_pod, deployment, claimed),
+                self.node.counters,
+                f"{self.plane}/cold_starts",
+            )
         if claimed is not None:
             claimed.add(pod.instance_id)
         return pod

@@ -90,6 +90,9 @@ def leg_localhost(
     _check_loss(ops, "leg_localhost")
 
 
+_CHAIN_STEPS = {0: Stage.STEP_3, 1: Stage.STEP_4, 2: Stage.STEP_5}
+
+
 def chain_step_stage(event_index: int) -> Optional[Stage]:
     """Audit-stage for the i-th within-chain transfer event.
 
@@ -97,5 +100,4 @@ def chain_step_stage(event_index: int) -> Optional[Stage]:
     ⑤ and stops there (the response side is excluded); later transfers in
     longer chains are costed but not staged.
     """
-    mapping = {0: Stage.STEP_3, 1: Stage.STEP_4, 2: Stage.STEP_5}
-    return mapping.get(event_index)
+    return _CHAIN_STEPS.get(event_index)

@@ -15,10 +15,11 @@ from .chain import (
     SpinCharger,
     SprightChainRuntime,
     SprightMessage,
+    SprightParams,
     SproxyTransport,
 )
 from .lambda_nic import LambdaNicDataplane
-from .plane import DSprightDataplane, SprightParams, SSprightDataplane
+from .plane import DSprightDataplane, SSprightDataplane
 from .routing import DfrRoutingTable, GATEWAY_INSTANCE_ID, RoutingError
 from .security import SecurityDomain, filter_key
 from .sockets import SproxySocket

@@ -11,7 +11,7 @@ metrics server (§3.3), and per-chain security domains (§3.4).
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Optional
 
@@ -20,7 +20,6 @@ from ...kernel.ebpf import ArrayMap, HookPoint, ProgramType, Scratch, SockMap, p
 from ...mem import (
     BufferHandle,
     PacketDescriptor,
-    PollingConsumer,
     PoolSanitizer,
     RteRing,
     SharedMemoryManager,
@@ -29,14 +28,31 @@ from ...mem import (
 )
 from ...runtime import Deployment, MetricsServer, PodMetrics, RESPONSE
 from ...runtime.pod import Pod
-from ...simcore import DeliveryError, Event, Interrupt, Store
+from ...simcore import DeliveryError, Event, Interrupt
 from ..base import ProxyComponent, Request
+from ..legs import chain_step_stage
 from .routing import DfrRoutingTable, GATEWAY_INSTANCE_ID
 from .security import SecurityDomain
 from .sockets import SproxySocket
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...runtime import WorkerNode
+
+
+@dataclass
+class SprightParams:
+    """Shared SPRIGHT configuration."""
+
+    gateway_cores: int = 2
+    security_enabled: bool = True
+    use_xdp_acceleration: bool = False   # §3.5: accelerate the external path
+    ingress_path_cpu: float = 10e-6
+    ingress_overhead_cpu: float = 20e-6
+    pool_capacity: int = 8192
+    pool_buffer_size: int = 16384
+    # Memory-safety checked mode: None defers to the process-wide default
+    # (the CLI's --sanitize flag); True/False forces it for this chain.
+    sanitize: Optional[bool] = None
 
 
 @dataclass
@@ -68,13 +84,6 @@ class SprightMessage:
     # The runtime whose pool holds ``handle``; it changes when the message
     # crosses to another node. None means the runtime handling it.
     owner: Optional["SprightChainRuntime"] = None
-
-    def next_stage(self, to_gateway: bool) -> Optional[Stage]:
-        """Audit stage for the next hop (response hops are not staged)."""
-        if to_gateway:
-            return None
-        mapping = {0: Stage.STEP_3, 1: Stage.STEP_4, 2: Stage.STEP_5}
-        return mapping.get(self.hop_index)
 
 
 class SpinCharger:
@@ -114,7 +123,18 @@ class SpinCharger:
 
 
 class ChainTransport(abc.ABC):
-    """Descriptor channel between chain members (SPROXY or RTE rings)."""
+    """Descriptor channel between chain members (SPROXY or RTE rings).
+
+    Each transport owns what is particular to its kind, so the runtime
+    never asks which one it has: ``kind`` labels hop spans,
+    ``metrics_map`` is the L7 map its programs fill (None: the gateway's
+    EPROXY L3 map is the only source), :meth:`reregister` repairs an
+    evicted registration, and :meth:`start_polling`/:meth:`teardown` run
+    and stop poll-mode cores.
+    """
+
+    kind: str
+    metrics_map: Optional[ArrayMap] = None
 
     @abc.abstractmethod
     def make_endpoint(self, owner_tag: str, instance_id: int) -> object:
@@ -138,15 +158,31 @@ class ChainTransport(abc.ABC):
     def on_pod_deregistered(self, instance_id: int) -> None:
         """Transport bookkeeping when a pod leaves."""
 
+    def reregister(self, instance_id: int, endpoint) -> bool:
+        """Re-insert a live member whose registration was evicted; True
+        when something was repaired."""
+        return False
+
+    def start_polling(self, instance_id: int, tag: str, cores: float) -> None:
+        """A member's worker starts: poll-mode transports spin its cores."""
+
+    def teardown(self) -> None:
+        """The chain is torn down: stop whatever the transport runs."""
+
 
 class SproxyTransport(ChainTransport):
     """S-SPRIGHT: eBPF SK_MSG sockets + sockmap, fully event-driven."""
 
+    kind = "sproxy"
+
     def __init__(
-        self, node: "WorkerNode", chain_name: str, security: Optional[SecurityDomain]
+        self,
+        node: "WorkerNode",
+        manager: SharedMemoryManager,
+        security: Optional[SecurityDomain],
     ) -> None:
+        chain_name = manager.chain_name
         self.node = node
-        self.chain_name = chain_name
         self.security = security
         self.sockmap = SockMap(max_entries=1024, name=f"sockmap-{chain_name}")
         node.map_registry.create(self.sockmap)
@@ -168,6 +204,15 @@ class SproxyTransport(ChainTransport):
         if instance_id in self.sockmap:
             self.sockmap.delete(instance_id)
 
+    def reregister(self, instance_id: int, endpoint) -> bool:
+        """Map churn evicted the member's sockmap entry: the SPRIGHT
+        controller re-inserts it."""
+        if instance_id in self.sockmap:
+            return False
+        self.sockmap.update(instance_id, endpoint)
+        self.node.counters.incr("spright/sockmap_repairs")
+        return True
+
     def send(self, sender_endpoint, descriptor, message, ops, trace, stage):
         delivered = yield from sender_endpoint.send(
             descriptor, message, ops, trace, stage
@@ -186,43 +231,50 @@ class SproxyTransport(ChainTransport):
         return item
 
 
-class RingEndpoint:
-    """A D-SPRIGHT member's RTE ring, with a wakeup event for the sim."""
-
-    def __init__(self, node: "WorkerNode", ring: RteRing) -> None:
-        self.node = node
-        self.ring = ring
-
-    def deliver_descriptor(self, item: object) -> bool:
-        return self.ring.enqueue(item)
-
-
 class RingTransport(ChainTransport):
     """D-SPRIGHT: polled DPDK rings; near-zero hop latency, spinning CPUs."""
+
+    kind = "ring"
 
     def __init__(
         self,
         node: "WorkerNode",
         manager: SharedMemoryManager,
+        security: Optional[SecurityDomain] = None,  # rings run no filter program
         poll_interval: float = 0.5e-6,
     ) -> None:
         self.node = node
         self.manager = manager
         self.poll_interval = poll_interval
-        self._endpoints: dict[int, RingEndpoint] = {}
+        self._endpoints: dict[int, RteRing] = {}
+        self._spinners: dict[int, SpinCharger] = {}
 
-    def make_endpoint(self, owner_tag: str, instance_id: int) -> RingEndpoint:
+    def make_endpoint(self, owner_tag: str, instance_id: int) -> RteRing:
+        """The member's RTE ring is its endpoint."""
         ring = self.manager.create_ring(f"{owner_tag}#{instance_id}", size=4096)
         # Fault injection: forced overflows make this enqueue behave as if
         # the ring were full (inert-injector fast path inside the hook).
         ring.fault_hook = self.node.faults.ring_overflow
-        return RingEndpoint(self.node, ring)
+        return ring
 
     def on_pod_registered(self, instance_id: int, endpoint) -> None:
         self._endpoints[instance_id] = endpoint
 
     def on_pod_deregistered(self, instance_id: int) -> None:
         self._endpoints.pop(instance_id, None)
+        # The dead pod's poll core stops spinning once the pod is actually
+        # torn down; without this, a supervisor-terminated pod kept
+        # charging a full core to its CPU tag forever.
+        spinner = self._spinners.pop(instance_id, None)
+        if spinner is not None:
+            spinner.stop()
+
+    def start_polling(self, instance_id: int, tag: str, cores: float) -> None:
+        self._spinners[instance_id] = SpinCharger(self.node, tag, cores=cores)
+
+    def teardown(self) -> None:
+        for spinner in self._spinners.values():
+            spinner.stop()
 
     def send(self, sender_endpoint, descriptor, message, ops, trace, stage):
         costs = self.node.config.costs
@@ -231,7 +283,7 @@ class RingTransport(ChainTransport):
             self.node.counters.incr("spright/descriptors_dropped")
             return False
         yield ops.compute(costs.ring_enqueue)
-        accepted = target.deliver_descriptor(message)
+        accepted = target.enqueue(message)
         if accepted:
             message.in_chain = True
         else:
@@ -243,28 +295,30 @@ class RingTransport(ChainTransport):
         if faults.active:
             # Descriptor stall: the consumer's dequeue is delayed (a slow
             # or preempted poll core) without losing the descriptor.
-            stall = faults.ring_stall(endpoint.ring.name)
+            stall = faults.ring_stall(endpoint.name)
             if stall > 0:
                 yield self.node.env.timeout(stall)
         yield ops.compute(self.node.config.costs.ring_dequeue)
 
     def wait_for_item(self, endpoint):
         while True:
-            ok, item = endpoint.ring.dequeue()
+            ok, item = endpoint.dequeue()
             if ok:
                 return item
-            yield endpoint.ring.not_empty_event(self.node.env)
+            yield endpoint.not_empty_event(self.node.env)
             yield self.node.env.timeout(self.poll_interval)
 
 
 class SprightChainRuntime:
     """One deployed chain on one node: gateway + pool + transport + workers.
 
-    A chain placed over several nodes has one runtime per node. ``hops``
-    maps each function this node does not serve from its own pods to the
-    hop that reaches it (a fabric crossing into the hosting node's gateway,
-    or a λ-NIC engine run); ``upstream`` is the ingress node's runtime when
-    this is not it, and the gateway forwards responses there.
+    Every destination has one hop in ``hops``, set when it is wired: the
+    local descriptor send for a function whose pods this node serves
+    (:meth:`attach_deployment`), a fabric crossing into the hosting node's
+    gateway (:meth:`connect`), a λ-NIC engine run (:meth:`offload`), and
+    for ``RESPONSE`` the way back to the requester. ``upstream`` is the
+    ingress node's runtime when this is not it, and the gateway forwards
+    responses there.
     """
 
     def __init__(
@@ -272,32 +326,26 @@ class SprightChainRuntime:
         node: "WorkerNode",
         chain_name: str,
         plane: str,
-        transport_kind: str,
+        transport_cls: type[ChainTransport],
+        params: SprightParams,
         metrics_server: Optional[MetricsServer] = None,
-        gateway_cores: int = 2,
-        security_enabled: bool = True,
-        pool_capacity: int = 8192,
-        pool_buffer_size: int = 16384,
-        sanitize: Optional[bool] = None,
     ) -> None:
-        if transport_kind not in ("sproxy", "ring"):
-            raise ValueError(f"unknown transport {transport_kind!r}")
         self.node = node
         self.chain_name = chain_name
         self.plane = plane
-        self.transport_kind = transport_kind
         self.metrics_server = metrics_server
 
         # §3.4 startup flow ①②: a dedicated shared memory manager creates
         # the chain's private pool under its unguessable file prefix.
         self.manager = SharedMemoryManager(node.pools, chain_name)
         self.manager.initialize(
-            buffer_size=pool_buffer_size, capacity=pool_capacity
+            buffer_size=params.pool_buffer_size, capacity=params.pool_capacity
         )
         self.pool = self.manager.attach(self.manager.file_prefix)
         # Checked mode: the sanitizer watches the chain's pool, counting
         # violations into the node counters (``sanitizer/*``) and reporting
         # buffers leaked at teardown with their allocation sites.
+        sanitize = params.sanitize
         if sanitize is None:
             sanitize = default_sanitize()
         self.sanitizer: Optional[PoolSanitizer] = None
@@ -310,21 +358,18 @@ class SprightChainRuntime:
         self.scavenger = ShmScavenger(self.pool, counter=node.counters)
 
         self.security = (
-            SecurityDomain(node.map_registry, chain_name) if security_enabled else None
+            SecurityDomain(node.map_registry, chain_name)
+            if params.security_enabled
+            else None
         )
-        if transport_kind == "sproxy":
-            self.transport: ChainTransport = SproxyTransport(
-                node, chain_name, self.security
-            )
-        else:
-            self.transport = RingTransport(node, self.manager)
+        self.transport = transport_cls(node, self.manager, self.security)
 
         # §3.4 startup flow ③: the dedicated SPRIGHT gateway (2 pinned cores,
         # matching the paper's fair-comparison configuration).
         self.gateway = ProxyComponent(
             node,
             tag=f"{plane}/gw/{chain_name}",
-            pinned_cores=gateway_cores,
+            pinned_cores=params.gateway_cores,
             path_cpu=4e-6,
         )
         self.gateway_endpoint = self.transport.make_endpoint(
@@ -341,17 +386,13 @@ class SprightChainRuntime:
         self.eproxy_hook.attach(programs.eproxy_l3_metrics(self.l3_metrics.fd))
 
         self.routing = DfrRoutingTable(node, chain_name)
-        self.hops: dict[str, object] = {}
+        self.hops: dict[str, object] = {RESPONSE: self._respond}
         self.upstream: Optional["SprightChainRuntime"] = None
         self.fabric = None
         self._endpoints: dict[int, object] = {}
-        self._function_of_instance: dict[int, str] = {}
-        self._spinners: dict[int, SpinCharger] = {}
-        self._gateway_spinner: Optional[SpinCharger] = None
-        if transport_kind == "ring":
-            self._gateway_spinner = SpinCharger(
-                node, self.gateway.tag, cores=gateway_cores
-            )
+        self.transport.start_polling(
+            GATEWAY_INSTANCE_ID, self.gateway.tag, params.gateway_cores
+        )
         node.env.process(
             self._gateway_worker(), name=f"gw-{chain_name}", detached=True
         )
@@ -362,6 +403,8 @@ class SprightChainRuntime:
 
     # -- pod wiring (called via Deployment callbacks) ---------------------------
     def attach_deployment(self, function_name: str, deployment: Deployment) -> None:
+        """Serve ``function_name`` from this node's pods of ``deployment``."""
+        self.hops[function_name] = self._send_to_function
         deployment.pod_ready_callbacks.append(
             lambda pod, name=function_name: self._on_pod_ready(name, pod)
         )
@@ -374,7 +417,6 @@ class SprightChainRuntime:
     def _on_pod_ready(self, function_name: str, pod: Pod) -> None:
         endpoint = self.transport.make_endpoint(pod.cpu_tag, pod.instance_id)
         self._endpoints[pod.instance_id] = endpoint
-        self._function_of_instance[pod.instance_id] = function_name
         self.transport.on_pod_registered(pod.instance_id, endpoint)
         self.routing.register_instance(function_name, pod)
         if self.security is not None:
@@ -382,14 +424,11 @@ class SprightChainRuntime:
             # other and to the gateway; nothing outside the chain can.
             self.security.allow(GATEWAY_INSTANCE_ID, pod.instance_id)
             self.security.allow(pod.instance_id, GATEWAY_INSTANCE_ID)
-            for other_id in self._function_of_instance:
+            for other_id in self._endpoints:
                 if other_id != pod.instance_id:
                     self.security.allow(other_id, pod.instance_id)
                     self.security.allow(pod.instance_id, other_id)
-        if self.transport_kind == "ring":
-            self._spinners[pod.instance_id] = SpinCharger(
-                self.node, pod.cpu_tag, cores=1.0
-            )
+        self.transport.start_polling(pod.instance_id, pod.cpu_tag, 1.0)
         self.node.env.process(
             self._function_worker(function_name, pod, endpoint),
             name=f"worker-{pod.cpu_tag}#{pod.instance_id}",
@@ -400,17 +439,14 @@ class SprightChainRuntime:
         self.routing.deregister_instance(function_name, pod)
         self.transport.on_pod_deregistered(pod.instance_id)
         self._endpoints.pop(pod.instance_id, None)
-        self._function_of_instance.pop(pod.instance_id, None)
-        # D-SPRIGHT: the dead pod's poll core stops spinning once the pod is
-        # actually torn down; without this, a supervisor-terminated pod kept
-        # charging a full core to its CPU tag forever.
-        spinner = self._spinners.pop(pod.instance_id, None)
-        if spinner is not None:
-            spinner.stop()
 
     # -- gateway ingress path (called by the dataplane) ---------------------------
     def dispatch(self, message: SprightMessage, head_function: str, deployment):
-        """Generator: gateway invokes the head function of the chain (① Fig 4)."""
+        """Generator: gateway invokes the head function of the chain (① Fig 4).
+
+        ``deployment`` is the head function's, so a request that lands on a
+        zero-scaled function activates it; mid-chain hops pass None.
+        """
         # EPROXY L3 metrics fire on the gateway's veth RX.
         run = self.eproxy_hook.fire(
             data=programs.encode_packet_ctx(message.handle.size, 1),
@@ -428,15 +464,11 @@ class SprightChainRuntime:
         )
         if message.request is not None:
             message.request.span_end(span)
-        hop = self.hops.get(head_function)
-        if hop is None:
-            yield from self._send_to_function(
-                self.gateway_endpoint, self.gateway.ops, message, head_function, deployment
-            )
-        else:
-            yield from hop(self.gateway_endpoint, self.gateway.ops, message, head_function)
+        yield from self.hops[head_function](
+            self.gateway_endpoint, self.gateway.ops, message, head_function, deployment
+        )
 
-    # -- hop kinds ----------------------------------------------------------------
+    # -- hops: (endpoint, ops, message, function name, deployment) ----------------
     def connect(self, function_name: str, peer: "SprightChainRuntime") -> None:
         """Reach ``function_name`` on ``peer``'s node across the fabric."""
         self.hops[function_name] = partial(self._cross, peer)
@@ -445,23 +477,23 @@ class SprightChainRuntime:
         """Run ``function_name`` on this node's λ-NIC engine when it has a core."""
         self.hops[function_name] = partial(self._nic_hop, engine, spec)
 
-    def _route(self, endpoint, ops, message, function_name):
-        """Generator: the hop from ``endpoint`` to ``function_name`` or the response."""
-        if function_name == RESPONSE or self.routing.is_response(function_name):
-            if endpoint is not self.gateway_endpoint:
-                yield from self._send_to_gateway(endpoint, ops, message)
-            elif self.upstream is not None:
-                yield from self._cross(self.upstream, endpoint, ops, message, None)
+    def _respond(self, endpoint, ops, message, function_name, deployment):
+        """Generator: the response hop — from a pod, a descriptor to the
+        gateway; at the gateway, on to the ingress node or the requester."""
+        if endpoint is self.gateway_endpoint:
+            if self.upstream is not None:
+                yield from self._cross(self.upstream, endpoint, ops, message, None, None)
             else:
                 self._complete(message, self.pool.read(message.handle))
-            return
-        hop = self.hops.get(function_name)
-        if hop is None:
-            yield from self._send_to_function(endpoint, ops, message, function_name, None)
-        else:
-            yield from hop(endpoint, ops, message, function_name)
+        elif not message.freed:
+            # Ownership moves to the gateway (never a reclaim target); the
+            # requester frees the buffer after reading the response.
+            yield from self._send_descriptor(
+                endpoint, ops, message, None, None,
+                "hop:response", "response descriptor undeliverable",
+            )
 
-    def _cross(self, peer, endpoint, ops, message, function_name):
+    def _cross(self, peer, endpoint, ops, message, function_name, deployment):
         """Node boundary: the payload leaves this pool, crosses the fabric
         into ``peer``'s gateway, and lands in ``peer``'s pool (None: the
         response, handed to the waiting requester)."""
@@ -487,13 +519,15 @@ class SprightChainRuntime:
         # A mid-chain hop like _handle_message's: no deployment to activate.
         yield from peer.dispatch(message, function_name, None)
 
-    def _nic_hop(self, engine, spec, endpoint, ops, message, function_name):
+    def _nic_hop(self, engine, spec, endpoint, ops, message, function_name, deployment):
         """λ-NIC: DMA the payload to the NIC, run the function on an engine
         core, DMA the result back in place, then route on. Without a free
         core the function's host pods serve it."""
         if not engine.try_reserve():
             self.node.counters.incr(f"{self.plane}/host_fallbacks")
-            yield from self._send_to_function(endpoint, ops, message, function_name, None)
+            yield from self._send_to_function(
+                endpoint, ops, message, function_name, deployment
+            )
             return
         dma = self.node.config.costs.nic_dma
         try:
@@ -510,9 +544,8 @@ class SprightChainRuntime:
         message.topic = result.topic or message.topic
         if message.request is not None:
             message.request.mark(f"served:{function_name}", self.node.env.now)
-        yield from self._route(
-            endpoint, ops, message, self._next_function(function_name, message)
-        )
+        next_function = self._next_function(function_name, message)
+        yield from self.hops[next_function](endpoint, ops, message, next_function, None)
 
     def _next_function(self, function_name: str, message: SprightMessage) -> str:
         """DFR step 1: where next? Sequence-driven or routing-table-driven."""
@@ -526,7 +559,10 @@ class SprightChainRuntime:
         if not message.done.triggered:
             message.done.succeed(response)
 
+    # -- descriptor sends -----------------------------------------------------------
     def _send_to_function(self, endpoint, ops, message, function_name, deployment):
+        """Generator: the local hop — a descriptor to one of this node's pods
+        of ``function_name``, picked by residual capacity."""
         if message.freed:
             # The buffer was reclaimed (crashed owner) while this hop was
             # being prepared; the descriptor must not re-enter the chain.
@@ -534,77 +570,67 @@ class SprightChainRuntime:
         claimed = message.request.claimed_pods if message.request is not None else None
         pod = self.routing.pick_instance(function_name, claimed)
         if pod is None and deployment is not None:
-            deployment.waiting += 1
-            try:
-                while pod is None:
-                    if not deployment.live_pods():
-                        deployment.scale_to(1)
-                        deployment.note_cold_start()
-                        self.node.counters.incr(f"{self.plane}/cold_starts")
-                    yield deployment.any_servable_event()
-                    pod = self.routing.pick_instance(function_name, claimed)
-            finally:
-                deployment.waiting -= 1
+            pod = yield from deployment.wait_for_pod(
+                partial(self.routing.pick_instance, function_name, claimed),
+                self.node.counters,
+                f"{self.plane}/cold_starts",
+            )
         while pod is None:
             yield self.node.env.timeout(0.01)
             pod = self.routing.pick_instance(function_name, claimed)
         if claimed is not None:
             claimed.add(pod.instance_id)
+        sent = yield from self._send_descriptor(
+            endpoint, ops, message, pod, chain_step_stage(message.hop_index),
+            f"hop:{function_name}", f"descriptor to {function_name} undeliverable",
+        )
+        return sent
+
+    def _send_descriptor(self, endpoint, ops, message, pod, stage, span_name, undeliverable):
+        """Generator: the descriptor to ``pod`` (None: the gateway) through
+        the transport. A drop to a live pod gets one repair-and-resend; a
+        delivered buffer is owned by its target until forwarded or freed."""
+        target = GATEWAY_INSTANCE_ID if pod is None else pod.instance_id
         descriptor = PacketDescriptor(
-            next_fn=pod.instance_id,
+            next_fn=target,
             shm_offset=message.handle.offset,
             length=message.handle.size,
             generation=message.handle.generation,
         )
-        stage = message.next_stage(to_gateway=False)
         message.hop_index += 1
         message.pending_stage = stage
         message.descriptor = descriptor
         span = None
         if message.request is not None:
             span = message.request.span_begin(
-                f"hop:{function_name}",
-                "shm",
-                bytes=descriptor.length,
-                transport=self.transport_kind,
+                span_name, "shm", bytes=descriptor.length, transport=self.transport.kind
             )
         sent = yield from self.transport.send(
             endpoint, descriptor, message, ops, message.trace, stage
         )
-        if not sent:
+        if not sent and pod is not None:
             sent = yield from self._repair_and_resend(endpoint, ops, message, pod)
         if message.request is not None:
             message.request.span_end(span, delivered=sent)
         if not sent:
-            self._fail_message(
-                message,
-                DeliveryError(
-                    "descriptor_drop",
-                    f"descriptor to {function_name} undeliverable",
-                ),
-            )
+            self._fail_message(message, DeliveryError("descriptor_drop", undeliverable))
         else:
-            # The buffer is now parked in the target pod's inbox/ring: that
-            # pod owns it until it forwards or the buffer is freed.
-            self.scavenger.assign(pod.instance_id, message.handle, message)
+            self.scavenger.assign(target, message.handle, message)
         return sent
 
     def _repair_and_resend(self, endpoint, ops, message, pod):
         """Self-healing after an eBPF map eviction (fault injection).
 
-        If the target pod is alive but its sockmap entry vanished, the
-        runtime re-registers the socket — the SPRIGHT controller's reaction
-        to map churn — and resends the descriptor once.
+        If the target pod is alive but the transport lost its registration
+        (SPROXY: the sockmap entry vanished), the runtime re-registers it —
+        the SPRIGHT controller's reaction to map churn — and resends the
+        descriptor once.
         """
-        if not isinstance(self.transport, SproxyTransport):
-            return False
-        if pod.instance_id in self.transport.sockmap or not pod.is_servable:
+        if not pod.is_servable:
             return False
         target = self._endpoints.get(pod.instance_id)
-        if target is None:
+        if target is None or not self.transport.reregister(pod.instance_id, target):
             return False
-        self.transport.on_pod_registered(pod.instance_id, target)
-        self.node.counters.incr("spright/sockmap_repairs")
         sent = yield from self.transport.send(
             endpoint,
             message.descriptor,
@@ -613,42 +639,6 @@ class SprightChainRuntime:
             message.trace,
             message.pending_stage,
         )
-        return sent
-
-    def _send_to_gateway(self, endpoint, ops, message):
-        if message.freed:
-            return False
-        descriptor = PacketDescriptor(
-            next_fn=GATEWAY_INSTANCE_ID,
-            shm_offset=message.handle.offset,
-            length=message.handle.size,
-            generation=message.handle.generation,
-        )
-        message.hop_index += 1
-        message.pending_stage = None
-        message.descriptor = descriptor
-        span = None
-        if message.request is not None:
-            span = message.request.span_begin(
-                "hop:response",
-                "shm",
-                bytes=descriptor.length,
-                transport=self.transport_kind,
-            )
-        sent = yield from self.transport.send(
-            endpoint, descriptor, message, ops, message.trace, None
-        )
-        if message.request is not None:
-            message.request.span_end(span, delivered=sent)
-        if not sent:
-            self._fail_message(
-                message,
-                DeliveryError("descriptor_drop", "response descriptor undeliverable"),
-            )
-        else:
-            # Ownership moves to the gateway (never a reclaim target); the
-            # requester frees the buffer after reading the response.
-            self.scavenger.assign(GATEWAY_INSTANCE_ID, message.handle, message)
         return sent
 
     # -- crash recovery (called by the pod supervisor) ----------------------------
@@ -682,17 +672,14 @@ class SprightChainRuntime:
         """Post-restart check: is the replacement pod wired into the plane?
 
         The ready callbacks normally do all of this; the supervisor calls it
-        after each restart as a belt-and-braces repair — if the sockmap entry
-        is missing (e.g. a map eviction raced the restart) it is re-inserted
-        through the same path as :meth:`_repair_and_resend`.
+        after each restart as a belt-and-braces repair — if the transport
+        lost the registration (e.g. a map eviction raced the restart) it is
+        re-inserted through the same path as :meth:`_repair_and_resend`.
         """
         endpoint = self._endpoints.get(pod.instance_id)
         if endpoint is None:
             return False
-        if isinstance(self.transport, SproxyTransport):
-            if pod.instance_id not in self.transport.sockmap:
-                self.transport.on_pod_registered(pod.instance_id, endpoint)
-                self.node.counters.incr("spright/sockmap_repairs")
+        self.transport.reregister(pod.instance_id, endpoint)
         return self.routing.instance(pod.instance_id) is pod
 
     # -- failure/cancellation lifecycle ------------------------------------------
@@ -735,22 +722,32 @@ class SprightChainRuntime:
                 detached=True,
             )
 
-    def _handle_message(self, function_name: str, pod: Pod, endpoint, ops, message):
-        """Serve one descriptor: wake, read in place, run, route, forward."""
-        # Receiver-side wakeup costs count toward the in-flight hop.
+    def _receive(self, endpoint, ops, message, span_name, **attrs):
+        """Generator: the receive checkpoint of every descriptor. Charges the
+        receiver-side costs (they count toward the in-flight hop); False
+        when nobody wants the message any more and its buffer was dropped."""
         span = None
         if message.request is not None:
-            span = message.request.span_begin("shm:wakeup", "shm", fn=function_name)
+            span = message.request.span_begin(span_name, "shm", **attrs)
         yield from self.transport.receive_costs(
             endpoint, ops, message.trace, message.pending_stage
         )
         if message.request is not None:
             message.request.span_end(span)
         if message.cancelled or message.freed:
-            # The requester gave up while the descriptor was in flight (the
-            # chain now owns, and drops, the buffer) — or the scavenger
-            # already reclaimed it from a crashed owner.
+            # The requester gave up while the descriptor was in flight
+            # (timeout or hedge loss: the chain now owns, and drops, the
+            # buffer) — or the scavenger reclaimed it from a crashed owner.
             self.release_message(message)
+            return False
+        return True
+
+    def _handle_message(self, function_name: str, pod: Pod, endpoint, ops, message):
+        """Serve one descriptor: wake, read in place, run, route, forward."""
+        live = yield from self._receive(
+            endpoint, ops, message, "shm:wakeup", fn=function_name
+        )
+        if not live:
             return
         # Zero-copy: the function reads the payload in place, resolving the
         # wire descriptor's (offset, generation) identity through the pool.
@@ -780,15 +777,7 @@ class SprightChainRuntime:
         message.sender_instance = pod.instance_id
 
         next_function = self._next_function(function_name, message)
-        # Inline rather than through _route: this is every same-node hop.
-        if next_function == RESPONSE or self.routing.is_response(next_function):
-            yield from self._send_to_gateway(endpoint, ops, message)
-        elif next_function in self.hops:
-            yield from self.hops[next_function](endpoint, ops, message, next_function)
-        else:
-            yield from self._send_to_function(
-                endpoint, ops, message, next_function, None
-            )
+        yield from self.hops[next_function](endpoint, ops, message, next_function, None)
 
     def _gateway_worker(self):
         """Gateway-side consumer: responses coming back from the chain (⑧)."""
@@ -810,33 +799,24 @@ class SprightChainRuntime:
         return self.pool.read(message.handle)
 
     def _finish_response(self, ops, message: SprightMessage):
-        span = None
-        if message.request is not None:
-            span = message.request.span_begin("shm:response", "shm")
-        yield from self.transport.receive_costs(
-            self.gateway_endpoint, ops, message.trace, None
+        live = yield from self._receive(
+            self.gateway_endpoint, ops, message, "shm:response"
         )
-        if message.request is not None:
-            message.request.span_end(span)
-        if message.cancelled or message.freed:
-            # Nobody is waiting for this response anymore (timeout/hedge
-            # loss, or a crash-reclaimed buffer): the chain drops the buffer
-            # instead of the requester.
-            self.release_message(message)
+        if not live:
             return
         if self.upstream is not None:
-            yield from self._cross(self.upstream, None, ops, message, None)
+            yield from self._cross(self.upstream, None, ops, message, None, None)
         else:
             self._complete(message, self._read_payload(message))
 
     def _metrics_agent(self, interval: float = 2.0):
         """The gateway's built-in agent: eBPF metric maps -> metrics server."""
+        metrics_map = self.transport.metrics_map
+        if metrics_map is None:
+            metrics_map = self.l3_metrics
         last_count = 0
         while True:
             yield self.node.env.timeout(interval)
-            metrics_map = self._l7_metrics_map()
-            if metrics_map is None:
-                continue
             count = metrics_map.lookup(programs.METRIC_SLOT_COUNT) or 0
             rate = (count - last_count) / interval
             last_count = count
@@ -857,14 +837,6 @@ class SprightChainRuntime:
                 5e-6, self.gateway.tag, op="metrics_scrape", detached=True
             )
 
-    def _l7_metrics_map(self) -> Optional[ArrayMap]:
-        if isinstance(self.transport, SproxyTransport):
-            return self.transport.metrics_map
-        return self.l3_metrics
-
     def teardown(self) -> None:
-        for spinner in self._spinners.values():
-            spinner.stop()
-        if self._gateway_spinner is not None:
-            self._gateway_spinner.stop()
+        self.transport.teardown()
         self.manager.teardown()

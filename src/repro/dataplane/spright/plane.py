@@ -8,7 +8,6 @@ rings — precisely the §3.2.2 comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from ...audit import Stage
@@ -18,30 +17,21 @@ from ...simcore import Event, Interrupt
 from ..base import Dataplane, ProxyComponent, Request, RequestClass
 from ..legs import external_arrival, leg_kernel
 from .adapter import AdapterHookPoint, CoapAdapter, HttpAdapter, MqttAdapter
-from .chain import SprightChainRuntime, SprightMessage
+from .chain import (
+    ChainTransport,
+    RingTransport,
+    SprightChainRuntime,
+    SprightMessage,
+    SprightParams,
+    SproxyTransport,
+)
 from .xdp_accel import XdpAccelerator
-
-
-@dataclass
-class SprightParams:
-    """Shared SPRIGHT configuration."""
-
-    gateway_cores: int = 2
-    security_enabled: bool = True
-    use_xdp_acceleration: bool = False   # §3.5: accelerate the external path
-    ingress_path_cpu: float = 10e-6
-    ingress_overhead_cpu: float = 20e-6
-    pool_capacity: int = 8192
-    pool_buffer_size: int = 16384
-    # Memory-safety checked mode: None defers to the process-wide default
-    # (the CLI's --sanitize flag); True/False forces it for this chain.
-    sanitize: Optional[bool] = None
 
 
 class _SprightBase(Dataplane):
     """Common deployment/request logic for both variants."""
 
-    transport_kind = "sproxy"
+    transport_cls: type[ChainTransport]
 
     def __init__(
         self,
@@ -80,15 +70,11 @@ class _SprightBase(Dataplane):
         for host in self.hosts:
             runtime = SprightChainRuntime(
                 host,
-                chain_name=self.chain_name,
-                plane=self.plane,
-                transport_kind=self.transport_kind,
-                metrics_server=self.metrics_server,
-                gateway_cores=self.params.gateway_cores,
-                security_enabled=self.params.security_enabled,
-                pool_capacity=self.params.pool_capacity,
-                pool_buffer_size=self.params.pool_buffer_size,
-                sanitize=self.params.sanitize,
+                self.chain_name,
+                self.plane,
+                self.transport_cls,
+                self.params,
+                self.metrics_server,
             )
             if self.routes:
                 runtime.routing.load_routes(self.routes)
@@ -231,8 +217,11 @@ class _SprightBase(Dataplane):
         return request, ack
 
     def select_pod(self, deployment, exclude=None):
-        """SPRIGHT load-balances by residual capacity (§3.2.3)."""
-        return deployment.pick_residual_capacity(exclude)
+        """SPRIGHT load-balances by residual capacity (§3.2.3): the DFR
+        picker of the function's home runtime."""
+        name = deployment.spec.name
+        home = self.runtimes[self.node_of[name].name]
+        return home.routing.pick_instance(name, exclude)
 
     def teardown(self) -> None:
         for runtime in self.runtimes.values():
@@ -243,11 +232,11 @@ class SSprightDataplane(_SprightBase):
     """S-SPRIGHT: event-driven SPROXY descriptor delivery."""
 
     plane = "sspright"
-    transport_kind = "sproxy"
+    transport_cls = SproxyTransport
 
 
 class DSprightDataplane(_SprightBase):
     """D-SPRIGHT: DPDK RTE-ring descriptor delivery (poll mode)."""
 
     plane = "dspright"
-    transport_kind = "ring"
+    transport_cls = RingTransport

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from ...runtime import DEFAULT_TOPIC, RESPONSE
+from ...runtime import DEFAULT_TOPIC
 from ...runtime.pod import Pod
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -98,6 +98,3 @@ class DfrRoutingTable:
 
     def instance(self, instance_id: int) -> Optional[Pod]:
         return self._by_instance_id.get(instance_id)
-
-    def is_response(self, destination: str) -> bool:
-        return destination == RESPONSE

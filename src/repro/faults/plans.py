@@ -76,12 +76,17 @@ def _crash_storm() -> FaultPlan:
 
 
 def _map_churn() -> FaultPlan:
-    """eBPF map evictions: sockmap entries vanish, SPROXY must re-register."""
+    """eBPF map evictions: sockmap entries vanish, SPROXY must re-register.
+
+    The target names the sockmaps: a bare ``*`` would spend the budget on
+    the chain's filter map, registered first, whose evicted allow rules
+    fail closed by design and leave nothing to re-register.
+    """
     return FaultPlan(
         name="map-churn",
         faults=[
-            FaultSpec(kind=FaultKind.MAP_EVICT, at=1.5, magnitude=2),
-            FaultSpec(kind=FaultKind.MAP_EVICT, at=3.0, magnitude=2),
+            FaultSpec(kind=FaultKind.MAP_EVICT, at=1.5, magnitude=2, target="sockmap-*"),
+            FaultSpec(kind=FaultKind.MAP_EVICT, at=3.0, magnitude=2, target="sockmap-*"),
         ],
     )
 

@@ -102,14 +102,6 @@ class Deployment:
         self._round_robin = (self._round_robin + 1) % len(servable)
         return servable[self._round_robin]
 
-    def pick_residual_capacity(self, exclude=None) -> Optional[Pod]:
-        """§3.2.3: choose the pod with maximum residual service capacity."""
-        servable = self._unclaimed(self._routable_pods(), exclude)
-        if not servable:
-            return None
-        now = self.node.env.now
-        return max(servable, key=lambda pod: pod.residual_capacity(now))
-
     def any_servable_event(self) -> Event:
         """Event that fires when at least one pod is servable (cold start)."""
         event = Event(self.node.env)
@@ -118,6 +110,27 @@ class Deployment:
         else:
             self._ready_waiters.append(event)
         return event
+
+    def wait_for_pod(self, pick, counters, counter: str):
+        """Generator: scale from zero and wait out the cold start until
+        ``pick()`` returns a pod, which it returns (the Fig 11 path).
+
+        Callers enter it only after their first pick came back empty. Each
+        activation counts once under ``counter`` in ``counters``.
+        """
+        self.waiting += 1
+        try:
+            pod = None
+            while pod is None:
+                if not self.live_pods():
+                    self.scale_to(1)
+                    self.note_cold_start()
+                    counters.incr(counter)
+                yield self.any_servable_event()
+                pod = pick()
+        finally:
+            self.waiting -= 1
+        return pod
 
     def _notify_ready(self, pod_event: Event) -> None:
         pod = pod_event.value

@@ -1,12 +1,18 @@
-"""Dead-code guard: every top-level function and class in ``src/`` is used.
+"""Dead-code guard: every top-level definition and method in ``src/`` is used.
 
-A definition counts as used when its name appears as a name, an attribute
-or a ``from ... import`` anywhere in ``src/``, ``bench/`` or
-``examples/`` outside its own body. Re-exports in a package ``__init__``
-(its imports and ``__all__``) do not count: they publish a name, they do
-not use it. Names only tests call belong in :data:`ALLOWED`, each with a
+A definition counts as used when its name is read as a name or an
+attribute (an assignment target is not a use), appears in a ``from ...
+import`` or is the string of a ``getattr``/``hasattr`` call anywhere in
+``src/``, ``bench/`` or ``examples/`` outside its own body. Re-exports in
+a package ``__init__`` (its imports and ``__all__``) do not count: they
+publish a name, they do not use it. Names only tests call belong in :data:`ALLOWED`, each with a
 one-line reason; a refactor that strands a definition fails here in the
 same change.
+
+Methods (functions defined directly in a top-level class, dunders aside)
+are checked the same way, by name. :data:`ALLOWED_METHODS` freezes the
+methods that were already unused when the check was added, so only new
+strandings fail.
 """
 
 import ast
@@ -33,6 +39,8 @@ ALLOWED = {
         "veth model exercised only by tests/test_kernel_substrate.py",
     "src/repro/kernel/packet.py:Message":
         "segmentation model exercised only by tests/test_kernel_substrate.py",
+    "src/repro/mem/rings.py:PollingConsumer":
+        "poll-mode ring consumer exercised only by tests/test_mem_pool.py",
     "src/repro/obs/__init__.py:reset_sessions":
         "test isolation: clears the process-wide tracing sessions",
     "src/repro/protocols/http1.py:encode_response":
@@ -67,38 +75,301 @@ ALLOWED = {
         "DES-side economics accountant covered by tests/test_traffic.py",
 }
 
-_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+#: "path:Class.method" -> why it stays although nothing in SCANNED uses it.
+#: Frozen when methods joined the guard; each is ROADMAP item 8 work (wire
+#: it in or delete it with its tests), so only new strandings fail here.
+ALLOWED_METHODS = {
+    "src/repro/audit/auditor.py:Stage.within_chain":
+        "item 8: used nowhere",
+    "src/repro/cluster/fabric.py:ClusterFabric.set_link":
+        "item 8: only tests use it (test_cluster_fabric)",
+    "src/repro/cluster/scheduler.py:FunctionPlacement.nodes_used":
+        "item 8: only tests use it (test_cluster_scheduler)",
+    "src/repro/cluster/scheduler.py:FunctionPlacement.transitions":
+        "item 8: only tests use it (test_cluster_scheduler)",
+    "src/repro/dataplane/spright/adapter.py:MqttSessionTable.is_connected":
+        "item 8: only tests use it (test_adapters)",
+    "src/repro/dataplane/spright/adapter.py:MqttSessionTable.disconnect":
+        "item 8: only tests use it (test_adapters)",
+    "src/repro/dataplane/spright/adapter.py:AdapterHookPoint.unload":
+        "item 8: only tests use it (test_adapters)",
+    "src/repro/dataplane/spright/security.py:SecurityDomain.revoke":
+        "item 8: used nowhere",
+    "src/repro/dataplane/spright/security.py:SecurityDomain.is_allowed":
+        "item 8: only tests use it (test_spright_chain)",
+    "src/repro/dataplane/spright/xdp_accel.py:XdpAccelerator.tc_egress":
+        "item 8: only tests use it (test_adapters)",
+    "src/repro/experiments/boutique_exp.py:BoutiqueRun.chain_cdf":
+        "item 8: used nowhere",
+    "src/repro/experiments/common.py:ScenarioResult.sanitizer_violations":
+        "item 8: used nowhere",
+    "src/repro/experiments/parking_exp.py:ParkingRun.cpu_series":
+        "item 8: used nowhere",
+    "src/repro/experiments/trace_exp.py:TracedRun.reconciled":
+        "item 8: only tests use it (test_obs_trace)",
+    "src/repro/kernel/costs.py:CostModel.seconds_from_cycles":
+        "item 8: only tests use it (test_kernel_substrate)",
+    "src/repro/kernel/ebpf/assembler.py:Assembler.add_imm":
+        "item 8: only tests use it (test_ebpf_vm)",
+    "src/repro/kernel/ebpf/assembler.py:Assembler.add_reg":
+        "item 8: used nowhere",
+    "src/repro/kernel/ebpf/assembler.py:Assembler.sub_imm":
+        "item 8: only tests use it (test_ebpf_vm)",
+    "src/repro/kernel/ebpf/assembler.py:Assembler.sub_reg":
+        "item 8: used nowhere",
+    "src/repro/kernel/ebpf/assembler.py:Assembler.mul_imm":
+        "item 8: only tests use it (test_ebpf_vm)",
+    "src/repro/kernel/ebpf/assembler.py:Assembler.div_imm":
+        "item 8: only tests use it (test_ebpf_vm)",
+    "src/repro/kernel/ebpf/assembler.py:Assembler.mod_imm":
+        "item 8: only tests use it (test_ebpf_vm)",
+    "src/repro/kernel/ebpf/assembler.py:Assembler.and_imm":
+        "item 8: used nowhere",
+    "src/repro/kernel/ebpf/assembler.py:Assembler.or_imm":
+        "item 8: only tests use it (test_ebpf_vm)",
+    "src/repro/kernel/ebpf/assembler.py:Assembler.and_reg":
+        "item 8: only tests use it (test_ebpf_vm)",
+    "src/repro/kernel/ebpf/assembler.py:Assembler.xor_reg":
+        "item 8: used nowhere",
+    "src/repro/kernel/ebpf/assembler.py:Assembler.rsh_imm":
+        "item 8: only tests use it (test_ebpf_vm)",
+    "src/repro/kernel/ebpf/assembler.py:Assembler.ld8":
+        "item 8: only tests use it (test_ebpf_vm)",
+    "src/repro/kernel/ebpf/assembler.py:Assembler.ld16":
+        "item 8: only tests use it (test_ebpf_vm)",
+    "src/repro/kernel/ebpf/assembler.py:Assembler.ld64":
+        "item 8: only tests use it (test_ebpf_vm)",
+    "src/repro/kernel/ebpf/assembler.py:Assembler.st8":
+        "item 8: used nowhere",
+    "src/repro/kernel/ebpf/assembler.py:Assembler.st32":
+        "item 8: used nowhere",
+    "src/repro/kernel/ebpf/assembler.py:Assembler.st64":
+        "item 8: only tests use it (test_ebpf_vm)",
+    "src/repro/kernel/ebpf/assembler.py:Assembler.st_imm32":
+        "item 8: used nowhere",
+    "src/repro/kernel/ebpf/assembler.py:Assembler.ja":
+        "item 8: only tests use it (test_ebpf_vm)",
+    "src/repro/kernel/ebpf/assembler.py:Assembler.jeq_reg":
+        "item 8: used nowhere",
+    "src/repro/kernel/ebpf/assembler.py:Assembler.jne_reg":
+        "item 8: used nowhere",
+    "src/repro/kernel/ebpf/assembler.py:Assembler.jge_imm":
+        "item 8: used nowhere",
+    "src/repro/kernel/ebpf/assembler.py:Assembler.jlt_imm":
+        "item 8: used nowhere",
+    "src/repro/kernel/ebpf/assembler.py:Assembler.jle_imm":
+        "item 8: used nowhere",
+    "src/repro/kernel/ebpf/assembler.py:Assembler.jset_imm":
+        "item 8: only tests use it (test_ebpf_vm)",
+    "src/repro/kernel/ebpf/bpftool.py:ProgStat.avg_insns_per_fire":
+        "item 8: only tests use it (test_bpftool_export)",
+    "src/repro/kernel/ebpf/hooks.py:HookPoint.detach":
+        "item 8: only tests use it (test_ebpf_programs_hooks)",
+    "src/repro/kernel/ebpf/hooks.py:HookPoint.is_armed":
+        "item 8: only tests use it (test_ebpf_programs_hooks)",
+    "src/repro/kernel/fib.py:FibTable.set_default":
+        "item 8: only tests use it (test_adapters, test_ebpf_programs_hooks, ...)",
+    "src/repro/kernel/fib.py:FibTable.remove_route":
+        "item 8: only tests use it (test_kernel_substrate)",
+    "src/repro/kernel/netdev.py:VethEndpoint.send_frame":
+        "item 8: only tests use it (test_kernel_substrate)",
+    "src/repro/kernel/ops.py:KernelOps.veth_hop":
+        "item 8: used nowhere",
+    "src/repro/kernel/ops.py:KernelOps.background":
+        "item 8: only tests use it (test_simcore_detached)",
+    "src/repro/kernel/ops.py:KernelOps.socket_send":
+        "item 8: used nowhere",
+    "src/repro/kernel/ops.py:KernelOps.socket_recv":
+        "item 8: used nowhere",
+    "src/repro/mem/descriptor.py:PacketDescriptor.unpack":
+        "item 8: only tests use it (test_mem_pool, test_protocols_property)",
+    "src/repro/mem/descriptor.py:PacketDescriptor.addressed_to":
+        "item 8: only tests use it (test_mem_pool)",
+    "src/repro/mem/pool.py:SharedMemoryPool.hugepages_backing":
+        "item 8: only tests use it (test_mem_pool)",
+    "src/repro/mem/pool.py:SharedMemoryPool.handle_for_offset":
+        "item 8: used nowhere",
+    "src/repro/mem/rings.py:RteRing.single_producer":
+        "item 8: only tests use it (test_cli_and_appendix)",
+    "src/repro/mem/rings.py:RteRing.single_consumer":
+        "item 8: only tests use it (test_cli_and_appendix)",
+    "src/repro/mem/sanitizer.py:PoolSanitizer.leaks":
+        "item 8: only tests use it (test_recovery, test_sanitizer)",
+    "src/repro/mem/sanitizer.py:PoolSanitizer.live_count":
+        "item 8: used nowhere",
+    "src/repro/mem/sanitizer.py:PoolSanitizer.total_violations":
+        "item 8: only tests use it (test_sanitizer)",
+    "src/repro/mem/scavenger.py:ShmScavenger.owned_count":
+        "item 8: only tests use it (test_recovery)",
+    "src/repro/mem/scavenger.py:ShmScavenger.tracked_count":
+        "item 8: only tests use it (test_recovery)",
+    "src/repro/obs/live.py:SseBroker.client_count":
+        "item 8: only tests use it (test_obs_live)",
+    "src/repro/obs/live.py:LiveSink.watch_recorder":
+        "item 8: only tests use it (test_obs_slo)",
+    "src/repro/obs/live.py:_DashboardHandler.log_message":
+        "http.server's BaseHTTPRequestHandler calls it by name",
+    "src/repro/obs/live.py:_DashboardHandler.do_GET":
+        "http.server's BaseHTTPRequestHandler calls it by name",
+    "src/repro/obs/metrics.py:MetricsRegistry.sum_counters":
+        "item 8: only tests use it (test_traffic)",
+    "src/repro/obs/profiler.py:CpuProfiler.by_plane":
+        "item 8: used nowhere",
+    "src/repro/obs/profiler.py:CpuProfiler.by_operation":
+        "item 8: used nowhere",
+    "src/repro/obs/slo.py:BurnRateMonitor.record_latency":
+        "item 8: only tests use it (test_obs_slo)",
+    "src/repro/protocols/cloudevents.py:CloudEvent.to_structured":
+        "item 8: only tests use it (test_protocols, test_protocols_property)",
+    "src/repro/protocols/cloudevents.py:CloudEvent.from_structured":
+        "item 8: only tests use it (test_protocols, test_protocols_property)",
+    "src/repro/protocols/cloudevents.py:CloudEvent.to_binary_headers":
+        "item 8: only tests use it (test_protocols)",
+    "src/repro/protocols/cloudevents.py:CloudEvent.from_binary_headers":
+        "item 8: only tests use it (test_protocols)",
+    "src/repro/protocols/grpc_codec.py:ProtoMessage.get_int":
+        "item 8: only tests use it (protocols_reference, test_http2, test_protocols)",
+    "src/repro/protocols/grpc_codec.py:ProtoMessage.get_str":
+        "item 8: only tests use it (protocols_reference, test_protocols)",
+    "src/repro/protocols/http2.py:HpackCodec.dynamic_entries":
+        "item 8: only tests use it (protocols_reference, test_http2)",
+    "src/repro/runtime/autoscaler.py:Autoscaler.activate":
+        "item 8: only tests use it (test_runtime)",
+    "src/repro/runtime/kubelet.py:Kubelet.health_check":
+        "item 8: used nowhere",
+    "src/repro/runtime/metrics_server.py:MetricsServer.history":
+        "item 8: only tests use it (test_metrics_server_registry, test_obs_slo, ...)",
+    "src/repro/runtime/spec.py:ChainSpec.next_hop":
+        "item 8: only tests use it (test_runtime)",
+    "src/repro/runtime/spec.py:ChainSpec.entry_function":
+        "item 8: only tests use it (test_runtime)",
+    "src/repro/simcore/cpu.py:DedicatedCore.released":
+        "item 8: only tests use it (test_cloning)",
+    "src/repro/simcore/cpu.py:DedicatedCore.checkpoint":
+        "item 8: only tests use it (test_simcore_resources)",
+    "src/repro/simcore/cpu.py:CpuSet.total_cores":
+        "item 8: only tests use it (test_kernel_substrate)",
+    "src/repro/simcore/cpu.py:CpuSet.shared_cores":
+        "item 8: only tests use it (test_simcore_edge_cases, test_simcore_resources)",
+    "src/repro/simcore/cpu.py:CpuSet.execute_cycles":
+        "item 8: only tests use it (test_detached_guard, test_simcore_detached)",
+    "src/repro/simcore/environment.py:Environment.all_of":
+        "item 8: only tests use it (test_simcore_edge_cases)",
+    "src/repro/simcore/events.py:Event.trigger":
+        "item 8: only tests use it (test_property_invariants, test_simcore_edge_cases, ...)",
+    "src/repro/simcore/events.py:ConditionValue.todict":
+        "item 8: only tests use it (test_simcore_edge_cases, test_simcore_engine)",
+    "src/repro/simcore/ps.py:PsServer.occupancy":
+        "item 8: used nowhere",
+    "src/repro/simcore/resources.py:Store.try_get":
+        "item 8: only tests use it (test_simcore_resources)",
+    "src/repro/stats/recorder.py:LatencyRecorder.overall_summary":
+        "item 8: only tests use it (test_stats)",
+    "src/repro/traffic/arrivals.py:SyntheticFleet.merged":
+        "item 8: only tests use it (test_scenario, test_traffic)",
+    "src/repro/workloads/generators.py:OpenLoopGenerator.streaming":
+        "item 8: only tests use it (test_traffic, test_workloads)",
+    "src/repro/workloads/kvstore.py:KvStats.hit_rate":
+        "item 8: only tests use it (test_kvstore)",
+    "src/repro/workloads/kvstore.py:KvStore.scan_prefix":
+        "item 8: only tests use it (test_kvstore)",
+}
+
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFS = (*_FUNCS, ast.ClassDef)
+
+
+def _methods(top: ast.stmt) -> list:
+    """The non-dunder methods defined directly in a top-level class."""
+    if not isinstance(top, ast.ClassDef):
+        return []
+    return [
+        node for node in top.body
+        if isinstance(node, _FUNCS) and not node.name.startswith("__")
+    ]
+
+
+def _names(root: ast.AST, is_init: bool, skip=()):
+    """Every name ``root`` uses, not descending into the ``skip`` nodes."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if any(node is skipped for skipped in skip):
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom) and not is_init:
+            for alias in node.names:
+                yield alias.name
+        elif _is_getattr(node):
+            yield node.args[1].value
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _is_getattr(node: ast.AST) -> bool:
+    """``getattr(obj, "name", ...)``/``hasattr(obj, "name")``: a use by string."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("getattr", "hasattr")
+        and len(node.args) >= 2
+        and isinstance(node.args[1], ast.Constant)
+        and isinstance(node.args[1].value, str)
+    )
 
 
 def _references(tree: ast.Module, is_init: bool):
-    """(name, enclosing top-level definition or None) for every use."""
+    """(name, enclosing (top-level definition, method)) for every use; the
+    parts are None outside a definition or a method."""
     for top in tree.body:
         owner = top.name if isinstance(top, _DEFS) else None
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                yield node.id, owner
-            elif isinstance(node, ast.Attribute):
-                yield node.attr, owner
-            elif isinstance(node, ast.ImportFrom) and not is_init:
-                for alias in node.names:
-                    yield alias.name, owner
+        methods = _methods(top)
+        for name in _names(top, is_init, skip=methods):
+            yield name, (owner, None)
+        for method in methods:
+            for name in _names(method, is_init):
+                yield name, (owner, method.name)
 
 
-def unused_definitions() -> list[str]:
+def _scan():
+    """(top-level definitions, methods, users of each name) over SCANNED."""
     definitions: list[tuple[str, str]] = []
+    methods: list[tuple[str, str, str]] = []
     users: dict[str, set] = {}
     for directory in SCANNED:
         for path in sorted((ROOT / directory).rglob("*.py")):
             rel = path.relative_to(ROOT).as_posix()
             tree = ast.parse(path.read_text(), filename=rel)
             if directory == "src":
-                definitions += [(rel, top.name) for top in tree.body if isinstance(top, _DEFS)]
+                for top in tree.body:
+                    if isinstance(top, _DEFS):
+                        definitions.append((rel, top.name))
+                    methods += [(rel, top.name, node.name) for node in _methods(top)]
             for name, owner in _references(tree, path.name == "__init__.py"):
                 users.setdefault(name, set()).add((rel, owner))
+    return definitions, methods, users
+
+
+def unused_definitions() -> list[str]:
+    definitions, _, users = _scan()
     return [
         f"{rel}:{name}"
         for rel, name in definitions
-        if not users.get(name, set()) - {(rel, name)}
+        if not {
+            (path, owner) for path, owner in users.get(name, set())
+            if (path, owner[0]) != (rel, name)
+        }
+    ]
+
+
+def unused_methods() -> list[str]:
+    _, methods, users = _scan()
+    return [
+        f"{rel}:{cls}.{name}"
+        for rel, cls, name in methods
+        if not users.get(name, set()) - {(rel, (cls, name))}
     ]
 
 
@@ -108,6 +379,14 @@ def test_every_top_level_definition_is_used_or_allowed():
     assert sorted(set(ALLOWED) - unused) == [], "allowed but used: drop the entry"
 
 
+def test_every_method_is_used_or_allowed():
+    unused = set(unused_methods())
+    assert sorted(unused - set(ALLOWED_METHODS)) == [], (
+        "unused method: delete it, or allow it with a reason"
+    )
+    assert sorted(set(ALLOWED_METHODS) - unused) == [], "allowed but used: drop the entry"
+
+
 def test_every_allowed_entry_gives_a_one_line_reason():
-    for key, reason in ALLOWED.items():
+    for key, reason in {**ALLOWED, **ALLOWED_METHODS}.items():
         assert reason.strip() and "\n" not in reason, key

@@ -14,7 +14,8 @@ process name. Events with no callback are only counted.
 ``PARENT_DIGESTS`` were captured, with exactly this filter and these
 episodes, at commit c74d1ed, before charges and processes could be
 detached, when every discarded charge and every process termination still
-went through the heap. ``CALLBACKLESS_EVENTS`` pins how many callback-less
+went through the heap (``d-spright`` was added later; its comment says
+when). ``CALLBACKLESS_EVENTS`` pins how many callback-less
 events are left now, so a change that brings them back fails here.
 """
 
@@ -40,6 +41,7 @@ EPISODES = {
     "grpc": ("grpc", 200, 4.0, False),
     "s-spright": ("s-spright", 400, 3.0, False),
     "s-spright-chaos": ("s-spright", 200, 4.0, True),
+    "d-spright": ("d-spright", 400, 3.0, False),
 }
 
 #: Simulated seconds run after the load stops, so in-flight work drains.
@@ -53,6 +55,9 @@ PARENT_DIGESTS = {
     "grpc": "cc50a579e2af2802f4d23efbc8f3bf317636d8e2b5fdb2f9c8dc730928103885",
     "s-spright": "8f705677434863f9ae23e6bf5074f698b1f492776034e106a1d1bc68c758354a",
     "s-spright-chaos": "803005de69306ab6d5b368508df4f05be444746a8719b7e83dcda2bc9d123638",
+    # Rings and spin chargers: captured at 15bb116, before the SPRIGHT chain
+    # runtime got one hop table and transports that own their kind.
+    "d-spright": "e602391afc5d6e7ec515af8daf8f1d07e118a6f0a520fc958a6452c1d30ccf87",
 }
 
 #: Events processed with no callback now (9457, 2347, 3892 and 4875 before
@@ -63,11 +68,12 @@ CALLBACKLESS_EVENTS = {
     "grpc": 0,
     "s-spright": 0,
     "s-spright-chaos": 16,
+    "d-spright": 0,
 }
 
 
 def build_episode(plane_name: str, users: int, duration: float, chaos: bool):
-    spright = plane_name == "s-spright"
+    spright = plane_name in ("s-spright", "d-spright")
     set_default_observe(trace=chaos, profile=chaos)
     try:
         node = make_node(scale=0.1, seed=SEED)

@@ -438,3 +438,45 @@ def test_armed_plan_actually_perturbs_the_run():
         resilience=ResiliencePolicy(timeout=0.5, retries=2),
     )
     assert baseline != lossy
+
+
+def test_map_churn_evicts_sockmap_entries_that_sproxy_re_registers():
+    """``map-churn`` evicts sockmap entries, which the runtime repairs.
+
+    With the plan's target matching every map the budget went to the
+    chain's filter map (registered first): no sockmap entry was evicted,
+    nothing was re-registered, and the motion run failed every request.
+    """
+    from repro.experiments.motion_exp import run_motion
+    from repro.faults import default_resilience_for_plane
+
+    run = run_motion(
+        "s-spright",
+        duration=60.0,
+        fault_plan=load_plan("map-churn"),
+        resilience=default_resilience_for_plane("s-spright"),
+    )
+    assert run.generator.submitted > 0
+    assert run.generator.failed == 0
+    assert run.node.counters.get("faults/injected/map_evict") > 0
+    assert run.node.counters.get("spright/sockmap_repairs") > 0
+
+
+def test_spright_fault_plans_match_golden():
+    """``map-churn`` and ``ring-pressure`` over s-/d-SPRIGHT, checked mode:
+    the sockmap repair, ring overflow and stall paths stay byte-identical."""
+    import contextlib
+    import io
+    from pathlib import Path
+
+    from repro import cli
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for plan in ("map-churn", "ring-pressure"):
+            assert cli.main([
+                "faults", "--fault-plan", plan, "--planes", "s-spright", "d-spright",
+                "--duration", "3", "--scale", "0.03", "--sanitize",
+            ]) == 0
+    golden = Path(__file__).parent / "goldens" / "faults-spright.txt"
+    assert out.getvalue() == golden.read_text()

@@ -204,6 +204,9 @@ def test_deployment_scale_up_and_down():
 
 
 def test_deployment_residual_capacity_picks_least_loaded():
+    """The DFR picker (§3.2.3) takes the deployment's least-loaded pod."""
+    from repro.dataplane.spright import DfrRoutingTable
+
     node = make_node()
     kubelet = Kubelet(node, cold_start_enabled=False)
     deployment = kubelet.deployment(
@@ -212,11 +215,13 @@ def test_deployment_residual_capacity_picks_least_loaded():
     deployment.scale_to(2)
     node.run(until=0.01)
     pod_a, pod_b = deployment.servable_pods()
+    routing = DfrRoutingTable(node, "t")
+    routing.register_instance("f", pod_a)
+    routing.register_instance("f", pod_b)
     pod_a.in_flight = 3
     for _ in range(20):
         pod_a.rate_window.observe(node.env.now)
-    chosen = deployment.pick_residual_capacity()
-    assert chosen is pod_b
+    assert routing.pick_instance("f") is pod_b
 
 
 def test_deployment_any_servable_event_fires_on_cold_start():
