@@ -43,14 +43,6 @@ class Stage(enum.Enum):
     STEP_4 = "④"
     STEP_5 = "⑤"
 
-    @property
-    def external(self) -> bool:
-        return self in (Stage.STEP_1, Stage.STEP_2)
-
-    @property
-    def within_chain(self) -> bool:
-        return not self.external
-
 
 EXTERNAL_STAGES = (Stage.STEP_1, Stage.STEP_2)
 CHAIN_STAGES = (Stage.STEP_3, Stage.STEP_4, Stage.STEP_5)

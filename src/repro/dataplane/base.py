@@ -178,14 +178,16 @@ class ProxyComponent:
                     f"{self.tag} queue limit {self.queue_limit} hit"
                 )
         self.traversals += 1
-        slot = self._limiter.request()
-        try:
-            yield slot
-        except Interrupt:
-            # Cancelled (timed out / raced out) while queued: withdraw the
-            # claim so proxy concurrency capacity is not leaked.
-            self._limiter.release(slot)
-            raise
+        slot = self._limiter.grant_now()
+        if slot is None:
+            slot = self._limiter.request()
+            try:
+                yield slot
+            except Interrupt:
+                # Cancelled (timed out / raced out) while queued: withdraw the
+                # claim so proxy concurrency capacity is not leaked.
+                self._limiter.release(slot)
+                raise
         try:
             if self.path_cpu > 0:
                 yield self.cpu.execute(self.path_cpu, self.tag, op="proxy_path")

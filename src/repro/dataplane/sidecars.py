@@ -96,8 +96,10 @@ class SidecarPod:
 
     def handle_request(self, nbytes: int, trace=None):
         """Generator: one HTTP request through the pod; returns latency-start."""
-        slot = self._slots.request()
-        yield slot
+        slot = self._slots.grant_now()
+        if slot is None:
+            slot = self._slots.request()
+            yield slot
         try:
             # Arrival at the pod over the kernel (client is on-node, wrk).
             yield from external_arrival(self.ops, nbytes, trace, Stage.STEP_1)

@@ -38,12 +38,6 @@ class SecurityDomain:
         self.filter_map.update(filter_key(sender_instance, destination_instance), 1)
         self.rules_installed += 1
 
-    def revoke(self, sender_instance: int, destination_instance: int) -> None:
-        key = filter_key(sender_instance, destination_instance)
-        if key in self.filter_map:
-            self.filter_map.delete(key)
-            self.rules_installed -= 1
-
     def is_allowed(self, sender_instance: int, destination_instance: int) -> bool:
         """Userspace view of what the in-kernel program will decide."""
         return (

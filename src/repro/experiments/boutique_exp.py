@@ -46,9 +46,6 @@ class BoutiqueRun:
     def latency_ms(self, which: str = "mean") -> float:
         return self.result.latency_ms(which)
 
-    def chain_cdf(self, chain: str):
-        return self.recorder.cdf(group=chain)
-
     def chain_summary(self, chain: str):
         return self.recorder.summary(group=chain)
 

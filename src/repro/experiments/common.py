@@ -71,14 +71,6 @@ class ScenarioResult:
     def total_cpu_percent(self) -> float:
         return self.node.cpu_percent_prefix(f"{self.plane_obj.plane}/", self.duration)
 
-    def sanitizer_violations(self) -> int:
-        """Total memory-safety violations counted during this run."""
-        return sum(
-            count
-            for name, count in self.node.counters.as_dict().items()
-            if name.startswith("sanitizer/")
-        )
-
 
 def make_node(scale: float = 1.0, seed: int = 2022, cores: int = 40) -> WorkerNode:
     config = NodeConfig(root_seed=seed)

@@ -35,6 +35,13 @@ ALL_PLANES = ("knative", "grpc", "s-spright", "d-spright")
 # Counter names the table aggregates, all maintained by repro.faults.
 RESILIENCE_COUNTERS = ("retry", "hedge", "hedge_win", "timeout", "exhausted")
 
+# SPRIGHT's own recovery work, which map-churn and ring-pressure exercise.
+RECOVERY_COUNTERS = (
+    "spright/sockmap_repairs",
+    "spright/ring_overflows",
+    "spright/descriptors_dropped",
+)
+
 
 @dataclass
 class FaultRunResult:
@@ -51,6 +58,7 @@ class FaultRunResult:
     p999_ms: float
     injected: dict = field(default_factory=dict)
     resilience: dict = field(default_factory=dict)
+    recovery: dict = field(default_factory=dict)
     breaker_trips: int = 0
 
     @property
@@ -71,12 +79,14 @@ class FaultRunResult:
             "p999_ms": self.p999_ms,
             "injected": dict(self.injected),
             "resilience": dict(self.resilience),
+            "recovery": dict(self.recovery),
             "breaker_trips": self.breaker_trips,
         }
 
 
-def _harvest(node, plane_obj) -> tuple[dict, dict, int]:
-    """Pull faults/* counters and breaker trips out of a finished run."""
+def _harvest(node, plane_obj) -> tuple[dict, dict, dict, int]:
+    """Pull faults/* counters, non-zero SPRIGHT recovery counters and
+    breaker trips out of a finished run."""
     counters = node.counters.as_dict()
     injected = {
         name.rsplit("/", 1)[-1]: count
@@ -92,8 +102,11 @@ def _harvest(node, plane_obj) -> tuple[dict, dict, int]:
     for name, count in sorted(counters.items()):
         if name.startswith("faults/failed/"):
             injected.setdefault(f"failed_{name.rsplit('/', 1)[-1]}", count)
+    recovery = {
+        name: counters[name] for name in RECOVERY_COUNTERS if counters.get(name)
+    }
     trips = plane_obj.resilience.breaker_trips() if plane_obj.resilience else 0
-    return injected, resilience, trips
+    return injected, resilience, recovery, trips
 
 
 def run_faults_boutique(
@@ -128,7 +141,7 @@ def run_faults_boutique(
         resilience=policy,
     )
     generator = result.extras["generator"]
-    injected, resilience, trips = _harvest(result.node, result.plane_obj)
+    injected, resilience, recovery, trips = _harvest(result.node, result.plane_obj)
     p50, p99, p999 = percentile_cells_ms(result.recorder)
     return FaultRunResult(
         plane=plane,
@@ -142,6 +155,7 @@ def run_faults_boutique(
         p999_ms=p999,
         injected=injected,
         resilience=resilience,
+        recovery=recovery,
         breaker_trips=trips,
     )
 
@@ -161,7 +175,7 @@ def run_faults_motion(
         fault_plan=fault_plan,
         resilience=policy,
     )
-    injected, resilience, trips = _harvest(run.node, run.plane_obj)
+    injected, resilience, recovery, trips = _harvest(run.node, run.plane_obj)
     p50, p99, p999 = percentile_cells_ms(run.recorder)
     return FaultRunResult(
         plane=plane,
@@ -175,6 +189,7 @@ def run_faults_motion(
         p999_ms=p999,
         injected=injected,
         resilience=resilience,
+        recovery=recovery,
         breaker_trips=trips,
     )
 
@@ -320,6 +335,8 @@ def format_fault_counters(results: Sequence[FaultRunResult]) -> str:
         for name, count in sorted(r.resilience.items()):
             if count:
                 rows.append([r.plane, r.workload, f"resilience/{name}", count])
+        for name, count in r.recovery.items():
+            rows.append([r.plane, r.workload, name, count])
     if not rows:
         rows.append(["-", "-", "(no faults fired)", 0])
     return format_table(

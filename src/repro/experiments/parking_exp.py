@@ -46,9 +46,6 @@ class ParkingRun:
             if tag.startswith(prefix)
         )
 
-    def cpu_series(self, bucket: float = 1.0):
-        return self.node.cpu_series_prefix(f"{self.plane_obj.plane}/", self.duration)
-
     def latency_series(self, bucket: float = 30.0):
         return self.recorder.latency_series(bucket=bucket)
 

@@ -245,9 +245,6 @@ class KernelOps:
     def syscall(self, tag: Optional[str] = None) -> "Event":
         return self._charge(self.costs.syscall, tag, op="syscall")
 
-    def veth_hop(self, tag: Optional[str] = None) -> "Event":
-        return self._charge(self.costs.veth_traversal, tag, op="veth")
-
     def nic_dma(self, tag: Optional[str] = None) -> "Event":
         return self._charge(self.costs.nic_dma, tag, op="nic_dma")
 
@@ -295,35 +292,6 @@ class KernelOps:
         cpu = self.cpu
         op = priced[2] if cpu.accounting.profiler is not None else "bundle"
         return cpu.execute(priced[1], tag or self.tag, op=op)
-
-    # -- composite operations used by multiple dataplanes ---------------------
-    def socket_send(
-        self,
-        nbytes: int,
-        trace: Optional[RequestTrace],
-        stage: Optional[Stage],
-        tag: Optional[str] = None,
-    ):
-        """``send()`` path: syscall + copy into the kernel + stack traversal.
-
-        Generator: ``yield from ops.socket_send(...)`` from a process.
-        """
-        yield self.syscall(tag)
-        yield self.copy(nbytes, trace, stage, tag)
-        yield self.protocol_processing(nbytes, trace, stage, tag)
-
-    def socket_recv(
-        self,
-        nbytes: int,
-        trace: Optional[RequestTrace],
-        stage: Optional[Stage],
-        tag: Optional[str] = None,
-    ):
-        """``recv()`` path: interrupt + stack + copy to user + wakeup."""
-        yield self.interrupt(trace, stage, tag=tag)
-        yield self.protocol_processing(nbytes, trace, stage, tag)
-        yield self.copy(nbytes, trace, stage, tag)
-        yield self.context_switch(trace, stage, tag)
 
 
 class OpBundle:

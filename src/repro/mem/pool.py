@@ -273,9 +273,6 @@ class SharedMemoryPool:
             )
         return self.read_at(descriptor.shm_offset, descriptor.length)
 
-    def handle_for_offset(self, offset: int) -> Optional[BufferHandle]:
-        return self._in_use.get(offset)
-
     def _check_live(self, handle: BufferHandle, op: str = "access") -> None:
         if handle.pool_name != self.name:
             raise self._violation(

@@ -188,10 +188,6 @@ class PoolSanitizer:
         return [v for v in self.violations if v.kind is ViolationKind.LEAK]
 
     @property
-    def live_count(self) -> int:
-        return len(self._live)
-
-    @property
     def orphan_reclaims(self) -> int:
         """How many orphaned buffers the scavenger pulled back."""
         return len(self._reclaimed)

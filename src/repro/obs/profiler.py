@@ -56,20 +56,6 @@ class CpuProfiler:
                 lines.append(";".join(key) + f" {nanos}")
         return "\n".join(lines) + ("\n" if lines else "")
 
-    def by_plane(self) -> dict[str, float]:
-        """Seconds per top-level stack frame (the plane tag prefix)."""
-        out: dict[str, float] = {}
-        for key, seconds in self.samples.items():
-            out[key[0]] = out.get(key[0], 0.0) + seconds
-        return dict(sorted(out.items()))
-
-    def by_operation(self) -> dict[str, float]:
-        """Seconds per leaf operation, across all components."""
-        out: dict[str, float] = {}
-        for key, seconds in self.samples.items():
-            out[key[-1]] = out.get(key[-1], 0.0) + seconds
-        return dict(sorted(out.items()))
-
     def top_stacks(self, count: int = 10) -> list[tuple[str, float]]:
         ordered = sorted(self.samples.items(), key=lambda kv: (-kv[1], kv[0]))
         return [(";".join(key), seconds) for key, seconds in ordered[:count]]

@@ -254,10 +254,6 @@ class Kubelet:
         self.pods_created += 1
         return pod
 
-    def health_check(self, pod: Pod) -> bool:
-        """TCP/HTTP-probe equivalent (§3.3): is the pod servable?"""
-        return pod.is_servable
-
 
 def desired_scale_for_concurrency(
     total_in_flight: int, target_per_pod: int, minimum: int, maximum: int

@@ -107,21 +107,3 @@ class WorkerNode:
             for tag in self.cpu.accounting.tags()
             if tag.startswith(prefix)
         )
-
-    def cpu_series_prefix(self, prefix: str, until: Optional[float] = None):
-        """Per-second CPU% summed over matching tags."""
-        horizon = until if until is not None else self.env.now
-        matching = [
-            tag for tag in self.cpu.accounting.tags() if tag.startswith(prefix)
-        ]
-        if not matching:
-            return []
-        series_per_tag = [self.cpu.accounting.series(tag, horizon) for tag in matching]
-        length = min(len(series) for series in series_per_tag)
-        return [
-            (
-                series_per_tag[0][index][0],
-                sum(series[index][1] for series in series_per_tag),
-            )
-            for index in range(length)
-        ]

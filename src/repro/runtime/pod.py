@@ -170,14 +170,16 @@ class Pod:
             raise RuntimeError(
                 f"pod {self.cpu_tag}#{self.instance_id} is {self.phase.value}, not servable"
             )
-        request = self._slots.request()
-        try:
-            yield request
-        except Interrupt:
-            # Cancelled (timed out / raced out) while queued for a slot:
-            # withdraw the claim so pod concurrency capacity is not leaked.
-            self._slots.release(request)
-            raise
+        request = self._slots.grant_now()
+        if request is None:
+            request = self._slots.request()
+            try:
+                yield request
+            except Interrupt:
+                # Cancelled (timed out / raced out) while queued for a slot:
+                # withdraw the claim so pod concurrency capacity is not leaked.
+                self._slots.release(request)
+                raise
         if not self.healthy and not self.responsive:
             # Fail fast: the pod crashed while this request sat in the
             # concurrency queue. Without this check the dead pod kept its

@@ -36,6 +36,11 @@ class Environment:
         #: count when ``run()`` returns or raises.
         self.events_processed = 0
         self._observers: list = []
+        #: True only while the last (or only) callback of the event being
+        #: processed runs: nothing else of that event can run after it.
+        #: :meth:`Resource.grant_now <repro.simcore.Resource.grant_now>`
+        #: reads it.
+        self._last_callback = False
 
     # -- clock --------------------------------------------------------------
     @property
@@ -110,8 +115,11 @@ class Environment:
         callbacks, event.callbacks = event.callbacks, None
         if callbacks is None:
             raise SimulationError(f"{event!r} was scheduled twice")
-        for callback in callbacks:
+        last = len(callbacks) - 1
+        for index, callback in enumerate(callbacks):
+            self._last_callback = index == last
             callback(event)
+        self._last_callback = False
 
         if not event._ok and not event.defused:
             # An unhandled failure crashes the simulation, loudly.
@@ -183,14 +191,21 @@ class Environment:
         """:meth:`step` up to ``horizon``, inlined into one loop."""
         queue = self._queue
         processed = 0
+        self._last_callback = True
         try:
             while queue and queue[0][0] <= horizon:
                 self._now, _, _, event = heappop(queue)
                 callbacks, event.callbacks = event.callbacks, None
                 if callbacks is None:
                     raise SimulationError(f"{event!r} was scheduled twice")
-                for callback in callbacks:
-                    callback(event)
+                if len(callbacks) == 1:
+                    callbacks[0](event)
+                elif callbacks:
+                    self._last_callback = False
+                    for callback in callbacks[:-1]:
+                        callback(event)
+                    self._last_callback = True
+                    callbacks[-1](event)
                 if not event._ok and not event._defused:
                     # An unhandled failure crashes the simulation, loudly.
                     exc = event._value
@@ -198,6 +213,7 @@ class Environment:
                     raise exc
                 processed += 1
         finally:
+            self._last_callback = False
             self.events_processed += processed
 
     @staticmethod

@@ -86,10 +86,6 @@ class PsServer:
         self.busy_time = 0.0       # total work actually served
 
     # -- views ---------------------------------------------------------------
-    @property
-    def occupancy(self) -> int:
-        return len(self._jobs)
-
     def rate(self) -> float:
         """Per-job service rate at the current occupancy."""
         if not self._jobs:

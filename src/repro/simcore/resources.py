@@ -147,6 +147,12 @@ class ResourceRequest(Event):
         self.release()
 
 
+class SlotGrant:
+    """A slot taken by :meth:`Resource.grant_now`, with no event behind it."""
+
+    __slots__ = ()
+
+
 class Resource:
     """A counted resource (e.g. a pool of worker slots or CPU cores)."""
 
@@ -155,7 +161,7 @@ class Resource:
             raise ValueError("capacity must be positive")
         self.env = env
         self.capacity = capacity
-        self.users: list[ResourceRequest] = []
+        self.users: list[ResourceRequest | SlotGrant] = []
         self._waiters: deque[ResourceRequest] = deque()
 
     @property
@@ -170,6 +176,33 @@ class Resource:
     def request(self) -> ResourceRequest:
         return ResourceRequest(self)
 
+    def grant_now(self) -> Optional[SlotGrant]:
+        """Take a free slot with no event, or return ``None``.
+
+        A slot is granted only when a :meth:`request` would be granted at
+        once *and* its event would be the very next one processed: no
+        waiter queues, the heap holds nothing at ``now``, and the running
+        callback is its event's last. The request's event would then pop
+        at ``now`` before anything else runs, so a process that goes on
+        without yielding sees the same state at the same time. Eids only
+        break ties, so the events that remain keep their order. On
+        ``None`` the caller yields :meth:`request` as usual. Either slot is
+        given back with :meth:`release`.
+        """
+        env = self.env
+        if (
+            self._waiters
+            or len(self.users) >= self.capacity
+            or not env._last_callback
+        ):
+            return None
+        queue = env._queue
+        if queue and queue[0][0] <= env._now:
+            return None
+        slot = SlotGrant()
+        self.users.append(slot)
+        return slot
+
     def set_capacity(self, capacity: int) -> None:
         """Resize the resource (vertical scaling); waiters are re-checked."""
         if capacity <= 0:
@@ -177,7 +210,7 @@ class Resource:
         self.capacity = capacity
         self._trigger()
 
-    def release(self, request: ResourceRequest) -> None:
+    def release(self, request: ResourceRequest | SlotGrant) -> None:
         if request in self.users:
             self.users.remove(request)
         elif request in self._waiters:

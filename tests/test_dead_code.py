@@ -79,8 +79,6 @@ ALLOWED = {
 #: Frozen when methods joined the guard; each is ROADMAP item 8 work (wire
 #: it in or delete it with its tests), so only new strandings fail here.
 ALLOWED_METHODS = {
-    "src/repro/audit/auditor.py:Stage.within_chain":
-        "item 8: used nowhere",
     "src/repro/cluster/fabric.py:ClusterFabric.set_link":
         "item 8: only tests use it (test_cluster_fabric)",
     "src/repro/cluster/scheduler.py:FunctionPlacement.nodes_used":
@@ -93,18 +91,12 @@ ALLOWED_METHODS = {
         "item 8: only tests use it (test_adapters)",
     "src/repro/dataplane/spright/adapter.py:AdapterHookPoint.unload":
         "item 8: only tests use it (test_adapters)",
-    "src/repro/dataplane/spright/security.py:SecurityDomain.revoke":
-        "item 8: used nowhere",
     "src/repro/dataplane/spright/security.py:SecurityDomain.is_allowed":
         "item 8: only tests use it (test_spright_chain)",
     "src/repro/dataplane/spright/xdp_accel.py:XdpAccelerator.tc_egress":
         "item 8: only tests use it (test_adapters)",
-    "src/repro/experiments/boutique_exp.py:BoutiqueRun.chain_cdf":
-        "item 8: used nowhere",
-    "src/repro/experiments/common.py:ScenarioResult.sanitizer_violations":
-        "item 8: used nowhere",
-    "src/repro/experiments/parking_exp.py:ParkingRun.cpu_series":
-        "item 8: used nowhere",
+    "src/repro/experiments/fig5.py:Fig5Result.series":
+        "item 8: only tests use it (test_experiments_smoke, benchmarks)",
     "src/repro/experiments/trace_exp.py:TracedRun.reconciled":
         "item 8: only tests use it (test_obs_trace)",
     "src/repro/kernel/costs.py:CostModel.seconds_from_cycles":
@@ -173,30 +165,20 @@ ALLOWED_METHODS = {
         "item 8: only tests use it (test_kernel_substrate)",
     "src/repro/kernel/netdev.py:VethEndpoint.send_frame":
         "item 8: only tests use it (test_kernel_substrate)",
-    "src/repro/kernel/ops.py:KernelOps.veth_hop":
-        "item 8: used nowhere",
     "src/repro/kernel/ops.py:KernelOps.background":
         "item 8: only tests use it (test_simcore_detached)",
-    "src/repro/kernel/ops.py:KernelOps.socket_send":
-        "item 8: used nowhere",
-    "src/repro/kernel/ops.py:KernelOps.socket_recv":
-        "item 8: used nowhere",
     "src/repro/mem/descriptor.py:PacketDescriptor.unpack":
         "item 8: only tests use it (test_mem_pool, test_protocols_property)",
     "src/repro/mem/descriptor.py:PacketDescriptor.addressed_to":
         "item 8: only tests use it (test_mem_pool)",
     "src/repro/mem/pool.py:SharedMemoryPool.hugepages_backing":
         "item 8: only tests use it (test_mem_pool)",
-    "src/repro/mem/pool.py:SharedMemoryPool.handle_for_offset":
-        "item 8: used nowhere",
     "src/repro/mem/rings.py:RteRing.single_producer":
         "item 8: only tests use it (test_cli_and_appendix)",
     "src/repro/mem/rings.py:RteRing.single_consumer":
         "item 8: only tests use it (test_cli_and_appendix)",
     "src/repro/mem/sanitizer.py:PoolSanitizer.leaks":
         "item 8: only tests use it (test_recovery, test_sanitizer)",
-    "src/repro/mem/sanitizer.py:PoolSanitizer.live_count":
-        "item 8: used nowhere",
     "src/repro/mem/sanitizer.py:PoolSanitizer.total_violations":
         "item 8: only tests use it (test_sanitizer)",
     "src/repro/mem/scavenger.py:ShmScavenger.owned_count":
@@ -213,10 +195,6 @@ ALLOWED_METHODS = {
         "http.server's BaseHTTPRequestHandler calls it by name",
     "src/repro/obs/metrics.py:MetricsRegistry.sum_counters":
         "item 8: only tests use it (test_traffic)",
-    "src/repro/obs/profiler.py:CpuProfiler.by_plane":
-        "item 8: used nowhere",
-    "src/repro/obs/profiler.py:CpuProfiler.by_operation":
-        "item 8: used nowhere",
     "src/repro/obs/slo.py:BurnRateMonitor.record_latency":
         "item 8: only tests use it (test_obs_slo)",
     "src/repro/protocols/cloudevents.py:CloudEvent.to_structured":
@@ -235,14 +213,14 @@ ALLOWED_METHODS = {
         "item 8: only tests use it (protocols_reference, test_http2)",
     "src/repro/runtime/autoscaler.py:Autoscaler.activate":
         "item 8: only tests use it (test_runtime)",
-    "src/repro/runtime/kubelet.py:Kubelet.health_check":
-        "item 8: used nowhere",
     "src/repro/runtime/metrics_server.py:MetricsServer.history":
         "item 8: only tests use it (test_metrics_server_registry, test_obs_slo, ...)",
     "src/repro/runtime/spec.py:ChainSpec.next_hop":
         "item 8: only tests use it (test_runtime)",
     "src/repro/runtime/spec.py:ChainSpec.entry_function":
         "item 8: only tests use it (test_runtime)",
+    "src/repro/simcore/cpu.py:CpuAccounting.series":
+        "item 8: only tests use it (test_simcore_detached)",
     "src/repro/simcore/cpu.py:DedicatedCore.released":
         "item 8: only tests use it (test_cloning)",
     "src/repro/simcore/cpu.py:DedicatedCore.checkpoint":
@@ -259,10 +237,10 @@ ALLOWED_METHODS = {
         "item 8: only tests use it (test_property_invariants, test_simcore_edge_cases, ...)",
     "src/repro/simcore/events.py:ConditionValue.todict":
         "item 8: only tests use it (test_simcore_edge_cases, test_simcore_engine)",
-    "src/repro/simcore/ps.py:PsServer.occupancy":
-        "item 8: used nowhere",
     "src/repro/simcore/resources.py:Store.try_get":
         "item 8: only tests use it (test_simcore_resources)",
+    "src/repro/stats/recorder.py:LatencyRecorder.cdf":
+        "item 8: only tests use it (test_stats, test_property_invariants)",
     "src/repro/stats/recorder.py:LatencyRecorder.overall_summary":
         "item 8: only tests use it (test_stats)",
     "src/repro/traffic/arrivals.py:SyntheticFleet.merged":

@@ -10,6 +10,11 @@ The check is syntactic (stdlib ``ast``): an expression statement whose
 value is a call to ``<cpu>.execute(...)`` / ``<cpu>.execute_cycles(...)``
 (the receiver's name contains ``cpu``) or ``<env>.process(...)`` (the
 receiver's name is ``env``) must pass ``detached=True``.
+
+A concurrency slot is the same case: a free slot granted at once needs no
+``ResourceRequest`` event. So every ``<resource>.request()`` must sit in
+the ``if <slot> is None:`` branch right after
+``<slot> = <resource>.grant_now()``, on the same resource.
 """
 
 from __future__ import annotations
@@ -87,3 +92,105 @@ def test_guard_flags_what_it_should():
         "<src>:3",
         "<src>:4",
     ]
+
+
+def _grant_fallback(stmts: list, index: int) -> str:
+    """The resource whose ``grant_now()`` fallback ``stmts[index]`` is, or ''.
+
+    That is an ``if <slot> is None:`` right after
+    ``<slot> = <resource>.grant_now()``.
+    """
+    branch = stmts[index]
+    if index == 0 or not isinstance(branch, ast.If):
+        return ""
+    test = branch.test
+    if not (
+        isinstance(test, ast.Compare)
+        and isinstance(test.left, ast.Name)
+        and len(test.ops) == 1
+        and isinstance(test.ops[0], ast.Is)
+        and isinstance(test.comparators[0], ast.Constant)
+        and test.comparators[0].value is None
+    ):
+        return ""
+    grant = stmts[index - 1]
+    if (
+        isinstance(grant, ast.Assign)
+        and [ast.unparse(target) for target in grant.targets] == [test.left.id]
+        and isinstance(grant.value, ast.Call)
+        and isinstance(grant.value.func, ast.Attribute)
+        and grant.value.func.attr == "grant_now"
+    ):
+        return ast.unparse(grant.value.func.value)
+    return ""
+
+
+def _slot_requests(node: ast.AST):
+    for inner in ast.walk(node):
+        if (
+            isinstance(inner, ast.Call)
+            and isinstance(inner.func, ast.Attribute)
+            and inner.func.attr == "request"
+            and not inner.args
+            and not inner.keywords
+        ):
+            yield inner
+
+
+def slot_requests_without_grant(source: str, filename: str = "<src>") -> list[str]:
+    """``file:line call`` for every ``.request()`` outside a grant fallback."""
+    tree = ast.parse(source, filename)
+    covered = set()
+    for node in ast.walk(tree):
+        for field in ("body", "orelse", "finalbody"):
+            stmts = getattr(node, field, None)
+            if not isinstance(stmts, list):
+                continue
+            for index in range(len(stmts)):
+                resource = _grant_fallback(stmts, index)
+                if not resource:
+                    continue
+                for body_stmt in stmts[index].body:
+                    for call in _slot_requests(body_stmt):
+                        if ast.unparse(call.func.value) == resource:
+                            covered.add(id(call))
+    return [
+        f"{filename}:{call.lineno} {ast.unparse(call)}"
+        for call in _slot_requests(tree)
+        if id(call) not in covered
+    ]
+
+
+def test_every_slot_request_is_a_grant_now_fallback():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        found += slot_requests_without_grant(
+            path.read_text(), str(path.relative_to(SRC))
+        )
+    assert not found, (
+        "take slots with grant_now() and request() only when it returns None:\n"
+        + "\n".join(found)
+    )
+
+
+def test_slot_guard_flags_what_it_should():
+    source = (
+        "def f(self, pool, other):\n"
+        "    slot = self._slots.request()\n"
+        "    slot = self._slots.grant_now()\n"
+        "    if slot is None:\n"
+        "        slot = self._slots.request()\n"
+        "        yield slot\n"
+        "    slot = pool.grant_now()\n"
+        "    if slot is None:\n"
+        "        slot = other.request()\n"
+        "    if slot is None:\n"
+        "        slot = pool.request()\n"
+        "    slot = pool.grant_now()\n"
+        "    if slot is not None:\n"
+        "        slot = pool.request()\n"
+        "    client.request(url)\n"
+    )
+    assert [
+        entry.split()[0] for entry in slot_requests_without_grant(source)
+    ] == ["<src>:2", "<src>:9", "<src>:11", "<src>:14"]

@@ -1,22 +1,30 @@
-"""Proof that the events nothing waits on can go without moving the rest.
+"""Proof that the events nothing needs can go without moving the rest.
 
-Detached CPU charges and detached processes schedule no event, so the heap
-holds fewer entries. The heap orders by (time, priority, eid) and eids only
-break ties, in creation order, so leaving an event out cannot reorder the
-events that remain. This test checks that claim on whole episodes.
+Detached CPU charges and detached processes schedule no event, and a slot
+that :meth:`Resource.grant_now <repro.simcore.Resource.grant_now>` grants
+at once schedules no ``ResourceRequest``. The heap orders by (time,
+priority, eid) and eids only break ties, in creation order, so leaving an
+event out cannot reorder the events that remain. This test checks that
+claim on whole episodes.
 
 Each episode runs on the ``step()`` path (a no-op observer is attached) with
 ``step`` wrapped so it sees every event before processing it. Events with
 a non-empty callback list are folded, as ``time|event type|callbacks``, into
 a sha256; a callback is its qualified name plus, for a process resume, the
-process name. Events with no callback are only counted.
+process name. ``ResourceRequest`` events are left out of the fold and only
+counted, as are events with no callback.
 
-``PARENT_DIGESTS`` were captured, with exactly this filter and these
-episodes, at commit c74d1ed, before charges and processes could be
-detached, when every discarded charge and every process termination still
-went through the heap (``d-spright`` was added later; its comment says
-when). ``CALLBACKLESS_EVENTS`` pins how many callback-less
-events are left now, so a change that brings them back fails here.
+``PROJECTED_DIGESTS`` and ``PARENT_SLOT_REQUESTS`` were captured with
+exactly this filter and these episodes at commit 7b23b61, before any slot
+could be granted without an event. Every ``ResourceRequest`` the parent
+processed is now either still an event or a ``grant_now`` success, so
+their sum must equal the parent count. ``SLOT_EVENTS`` and
+``CALLBACKLESS_EVENTS`` pin how many ``ResourceRequest`` and callback-less
+events are left, so a change that brings them back fails here.
+
+The digests before that commit folded ``ResourceRequest`` events too. They
+were captured at commit c74d1ed, before charges and processes could be
+detached (``d-spright`` at 15bb116); CHANGES.md keeps them.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from repro.experiments.common import attach_recovery, build_plane, make_node
 from repro.experiments.recovery_exp import default_recovery_policy
 from repro.faults import NAMED_PLANS, default_resilience_for_plane
 from repro.obs import set_default_observe
-from repro.simcore import Process
+from repro.simcore import Process, Resource, ResourceRequest
 from repro.stats import LatencyRecorder
 from repro.workloads import ClosedLoopGenerator, WeightedMix, boutique
 
@@ -49,15 +57,32 @@ DRAIN = 5.0
 
 SEED = 2022
 
-#: sha256 over the events with callbacks, captured before detaching.
-PARENT_DIGESTS = {
-    "knative": "b811632df562cc60bafb1fd9d9450c05a10554014b6fb4049f93c18823663840",
-    "grpc": "cc50a579e2af2802f4d23efbc8f3bf317636d8e2b5fdb2f9c8dc730928103885",
-    "s-spright": "8f705677434863f9ae23e6bf5074f698b1f492776034e106a1d1bc68c758354a",
-    "s-spright-chaos": "803005de69306ab6d5b368508df4f05be444746a8719b7e83dcda2bc9d123638",
-    # Rings and spin chargers: captured at 15bb116, before the SPRIGHT chain
-    # runtime got one hop table and transports that own their kind.
-    "d-spright": "e602391afc5d6e7ec515af8daf8f1d07e118a6f0a520fc958a6452c1d30ccf87",
+#: sha256 over the events with callbacks, ``ResourceRequest`` left out.
+PROJECTED_DIGESTS = {
+    "knative": "58af870352efad12aabf317bcb6d567c9269439c629292a017053ae2e96e3fbb",
+    "grpc": "ab2b0317b9827821a368251de244adb947c3870b8da5083af9e01a68a690272a",
+    "s-spright": "208083c15e22fbda329fdea8d51684327e0528d0f06881b58d39f5f680db605c",
+    "s-spright-chaos": "fd091d63a678f3b67d0d5197195140cdba57ddf4e8a6c854ce53daec69bd891a",
+    "d-spright": "27f38e5354687b9055974e624ed57bf5121fdfeb5838aa3d015c5cfd0e199a99",
+}
+
+#: ``ResourceRequest`` events the parent processed, before ``grant_now``.
+PARENT_SLOT_REQUESTS = {
+    "knative": 9309,
+    "grpc": 2199,
+    "s-spright": 3583,
+    "s-spright-chaos": 4838,
+    "d-spright": 3583,
+}
+
+#: ``ResourceRequest`` events left now. Chaos's 5 are slot requests made
+#: while another event waited at the same instant.
+SLOT_EVENTS = {
+    "knative": 0,
+    "grpc": 0,
+    "s-spright": 0,
+    "s-spright-chaos": 5,
+    "d-spright": 0,
 }
 
 #: Events processed with no callback now (9457, 2347, 3892 and 4875 before
@@ -113,35 +138,50 @@ def _callback_name(callback) -> str:
     return name
 
 
-def event_stream(name: str) -> tuple[str, int, int]:
-    """(callback-event sha256, callback-less events, completed requests)."""
+def event_stream(name: str, monkeypatch) -> tuple[str, int, int, int, int]:
+    """(projected sha256, callback-less events, ``ResourceRequest`` events,
+    ``grant_now`` successes, completed requests)."""
     plane_name, users, duration, chaos = EPISODES[name]
     node, recorder = build_episode(plane_name, users, duration, chaos)
     env = node.env
     digest = hashlib.sha256()
     bare = [0]
+    slot_events = [0]
+    grants = [0]
     inner_step = env.step
+    inner_grant_now = Resource.grant_now
+
+    def grant_now(resource):
+        slot = inner_grant_now(resource)
+        if slot is not None:
+            grants[0] += 1
+        return slot
 
     def step():
         if env._queue:
             when, _, _, event = env._queue[0]
             callbacks = event.callbacks
-            if callbacks:
+            if isinstance(event, ResourceRequest):
+                slot_events[0] += 1
+            if not callbacks:
+                bare[0] += 1
+            elif not isinstance(event, ResourceRequest):
                 names = ",".join(_callback_name(cb) for cb in callbacks)
                 digest.update(f"{when!r}|{type(event).__name__}|{names}\n".encode())
-            else:
-                bare[0] += 1
         inner_step()
 
+    monkeypatch.setattr(Resource, "grant_now", grant_now)
     env.step = step
     env.add_observer(lambda now: None)
     node.run(until=duration + DRAIN)
-    return digest.hexdigest(), bare[0], recorder.count("")
+    return digest.hexdigest(), bare[0], slot_events[0], grants[0], recorder.count("")
 
 
 @pytest.mark.parametrize("name", sorted(EPISODES))
-def test_events_with_callbacks_keep_their_order(name):
-    sha, bare, completed = event_stream(name)
+def test_events_with_callbacks_keep_their_order(name, monkeypatch):
+    sha, bare, slot_events, grants, completed = event_stream(name, monkeypatch)
     assert completed > 0
-    assert sha == PARENT_DIGESTS[name]
+    assert sha == PROJECTED_DIGESTS[name]
+    assert slot_events + grants == PARENT_SLOT_REQUESTS[name]
+    assert slot_events == SLOT_EVENTS[name]
     assert bare == CALLBACKLESS_EVENTS[name]

@@ -446,20 +446,28 @@ def test_map_churn_evicts_sockmap_entries_that_sproxy_re_registers():
     With the plan's target matching every map the budget went to the
     chain's filter map (registered first): no sockmap entry was evicted,
     nothing was re-registered, and the motion run failed every request.
+    The repairs show up as a row of the fault-counter report.
     """
-    from repro.experiments.motion_exp import run_motion
+    import re
+
+    from repro.experiments.faults_exp import format_fault_counters, run_faults_motion
     from repro.faults import default_resilience_for_plane
 
-    run = run_motion(
+    result = run_faults_motion(
         "s-spright",
-        duration=60.0,
         fault_plan=load_plan("map-churn"),
-        resilience=default_resilience_for_plane("s-spright"),
+        policy=default_resilience_for_plane("s-spright"),
+        duration=60.0,
     )
-    assert run.generator.submitted > 0
-    assert run.generator.failed == 0
-    assert run.node.counters.get("faults/injected/map_evict") > 0
-    assert run.node.counters.get("spright/sockmap_repairs") > 0
+    assert result.sent > 0
+    assert result.failed == 0
+    assert result.injected["map_evict"] > 0
+    repairs = result.recovery["spright/sockmap_repairs"]
+    assert repairs > 0
+    report = format_fault_counters([result])
+    assert re.search(
+        rf"^s-spright +motion +spright/sockmap_repairs +{repairs} *$", report, re.M
+    )
 
 
 def test_spright_fault_plans_match_golden():

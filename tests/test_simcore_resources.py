@@ -1,14 +1,18 @@
 """Unit tests for stores, resources, CPU set, and random streams."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simcore import (
     CpuSet,
     Environment,
+    Interrupt,
     RandomStreams,
     Resource,
     Store,
 )
+from repro.simcore.resources import SlotGrant
 
 
 def test_store_fifo_order():
@@ -148,6 +152,212 @@ def test_resource_capacity_two_runs_in_parallel():
         env.process(user(env))
     env.run()
     assert ends == [1, 1]
+
+
+# -- grant_now: a free slot without an event ---------------------------------
+
+
+def _acquire(resource):
+    """The call-site pattern: take a free slot at once, else queue for it."""
+    slot = resource.grant_now()
+    if slot is None:
+        slot = resource.request()
+        try:
+            yield slot
+        except Interrupt:
+            resource.release(slot)
+            raise
+    return slot
+
+
+def test_grant_now_takes_a_free_slot_when_nothing_else_could_run_first():
+    env = Environment()
+    resource = Resource(env, capacity=1)
+    got = []
+
+    def user(env):
+        got.append(resource.grant_now())
+        yield env.timeout(1)
+
+    env.process(user(env))
+    env.run()
+    assert isinstance(got[0], SlotGrant)
+    assert resource.users == got
+    resource.release(got[0])
+    assert resource.count == 0
+    # The start, the timeout and the process's end: no ResourceRequest.
+    assert env.events_processed == 3
+
+
+def test_grant_now_falls_back_when_an_event_waits_at_now():
+    env = Environment()
+    resource = Resource(env, capacity=2)
+    got = []
+
+    def user(env):
+        got.append(resource.grant_now())
+        yield env.timeout(1)
+
+    # Both start at 0: while the first runs, the second's start is on the
+    # heap at now, so only the second may skip the event.
+    env.process(user(env))
+    env.process(user(env))
+    env.run()
+    assert got[0] is None
+    assert isinstance(got[1], SlotGrant)
+
+
+def test_grant_now_falls_back_in_a_callback_that_is_not_its_events_last():
+    env = Environment()
+    resource = Resource(env, capacity=2)
+    gate = env.event()
+    got = []
+
+    def waiter(env):
+        yield gate
+        got.append(resource.grant_now())
+        yield env.timeout(1)
+
+    def opener(env):
+        yield env.timeout(1)
+        gate.succeed()
+        yield env.timeout(1)
+
+    env.process(waiter(env))
+    env.process(waiter(env))
+    env.process(opener(env))
+    env.run()
+    assert got[0] is None
+    assert isinstance(got[1], SlotGrant)
+
+
+def test_grant_now_falls_back_when_a_waiter_is_queued():
+    env = Environment()
+    resource = Resource(env, capacity=1)
+    got = []
+
+    def holder(env):
+        slot = resource.request()
+        yield slot
+        yield env.timeout(5)
+        resource.release(slot)
+
+    def late(env):
+        yield env.timeout(1)
+        # Room for one more, but a waiter queued first keeps its place.
+        resource.capacity = 2
+        got.append(resource.grant_now())
+
+    env.process(holder(env))
+    env.process(holder(env))
+    env.process(late(env))
+    env.run()
+    assert got == [None]
+
+
+def test_grant_now_falls_back_at_full_capacity():
+    env = Environment()
+    resource = Resource(env, capacity=1)
+    got = []
+
+    def holder(env):
+        slot = yield from _acquire(resource)
+        yield env.timeout(5)
+        resource.release(slot)
+
+    def late(env):
+        yield env.timeout(1)
+        got.append(resource.grant_now())
+
+    env.process(holder(env))
+    env.process(late(env))
+    env.run()
+    assert got == [None]
+    assert resource.count == 0
+
+
+#: One process: (start delay, [(resource index, hold, wait on the gate)]).
+_PROCESS = st.tuples(
+    st.integers(0, 2),
+    st.lists(
+        st.tuples(st.integers(0, 1), st.integers(0, 2), st.booleans()),
+        min_size=1,
+        max_size=4,
+    ),
+)
+
+
+def _slot_trace(capacities, processes, gate_at, interrupts, observed):
+    """(time, process, step, what) of every slot step, plus the end state."""
+    env = Environment()
+    if observed:
+        env.add_observer(lambda now: None)
+    resources = [Resource(env, capacity) for capacity in capacities]
+    gate = env.event()
+    trace = []
+
+    def worker(env, pid, start, plan):
+        try:
+            yield env.timeout(start)
+        except Interrupt:
+            trace.append((env.now, pid, -1, "interrupted"))
+        for step, (index, hold, wait) in enumerate(plan):
+            resource = resources[index % len(resources)]
+            try:
+                if wait:
+                    yield gate
+                trace.append((env.now, pid, step, "asked"))
+                slot = yield from _acquire(resource)
+                trace.append((env.now, pid, step, "got"))
+                try:
+                    yield env.timeout(hold)
+                finally:
+                    resource.release(slot)
+                trace.append((env.now, pid, step, "released"))
+            except Interrupt:
+                trace.append((env.now, pid, step, "interrupted"))
+
+    def opener(env):
+        yield env.timeout(gate_at)
+        gate.succeed()
+
+    def interrupter(env, procs):
+        for when, pid in interrupts:
+            yield env.timeout(when)
+            target = procs[pid % len(procs)]
+            if target.is_alive:
+                target.interrupt()
+
+    procs = [
+        env.process(worker(env, pid, start, plan))
+        for pid, (start, plan) in enumerate(processes)
+    ]
+    env.process(opener(env), detached=True)
+    env.process(interrupter(env, procs), detached=True)
+    env.run()
+    state = [(len(r.users), len(r._waiters)) for r in resources]
+    return trace, state, env.now
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    capacities=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+    processes=st.lists(_PROCESS, min_size=1, max_size=5),
+    gate_at=st.integers(0, 3),
+    interrupts=st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 4)), max_size=3
+    ),
+    observed=st.booleans(),
+)
+def test_grant_now_runs_exactly_like_the_event_path(
+    capacities, processes, gate_at, interrupts, observed
+):
+    args = (capacities, processes, gate_at, interrupts, observed)
+    inline = _slot_trace(*args)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Resource, "grant_now", lambda resource: None)
+        evented = _slot_trace(*args)
+    assert inline == evented
 
 
 def test_cpu_execute_charges_busy_time():
