@@ -20,7 +20,7 @@ def main() -> None:
     print(f"{'policy':<16}{'xnode hops/req':>16}{'p99 ms':>10}{'rps':>8}  placement")
     for policy in ("chain_locality", "bin_pack", "spread"):
         run = run_cluster_case("s-spright", policy, 3, duration=0.5)
-        placement = run.extras["placement"]
+        placement = run.dataplane.placement
         layout = " ".join(
             f"{fn}@{placement.node_of(fn).replace('worker-', 'w')}"
             for fn in run.dataplane.functions

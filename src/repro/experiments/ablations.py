@@ -22,7 +22,7 @@ from ..dataplane import SprightParams
 from ..dataplane.base import RequestClass
 from ..runtime import FunctionSpec
 from ..stats import format_table
-from .common import run_closed_loop
+from .common import build_closed_loop
 
 CHAIN = ["fn-1", "fn-2"]
 
@@ -44,7 +44,7 @@ def _functions():
 
 
 def _measure(name: str, concurrency: int, duration: float, **kwargs) -> AblationPoint:
-    result = run_closed_loop(
+    result = build_closed_loop(
         "s-spright",
         _functions(),
         [RequestClass(name="abl", sequence=CHAIN, payload_size=100)],
@@ -52,7 +52,7 @@ def _measure(name: str, concurrency: int, duration: float, **kwargs) -> Ablation
         duration=duration,
         client_overhead=0.0005,
         **kwargs,
-    )
+    ).finish()
     return AblationPoint(
         name=name,
         rps=result.rps,
@@ -89,7 +89,7 @@ def run_dfr_ablation(concurrency: int = 32, duration: float = 2.0) -> dict:
     dfr = _measure("DFR (direct fn-to-fn)", concurrency, duration)
     # A gateway-mediated chain is equivalent to doubling the per-hop external
     # path: sequence visits gateway between functions.
-    via_gateway = run_closed_loop(
+    via_gateway = build_closed_loop(
         "s-spright",
         _functions(),
         [
@@ -99,7 +99,7 @@ def run_dfr_ablation(concurrency: int = 32, duration: float = 2.0) -> dict:
         concurrency=concurrency,
         duration=duration,
         client_overhead=0.0005,
-    )
+    ).finish()
     # Two gateway dispatches per logical request: halve the RPS, double lat.
     mediated = AblationPoint(
         name="via gateway each hop",
@@ -134,40 +134,31 @@ def run_hugepage_ablation(payloads: tuple[int, ...] = (256, 4096)) -> dict:
 
 def run_lb_ablation(duration: float = 2.0) -> dict:
     """Residual-capacity LB vs round robin with heterogeneous pod load."""
-    from ..stats import LatencyRecorder
-    from ..workloads import ClosedLoopGenerator, WeightedMix
-    from .common import build_plane, make_node
-
     outcomes = {}
     for policy in ("residual", "round_robin"):
-        node = make_node()
         functions = [
             FunctionSpec(
                 name="fn-1", service_time=200e-6, service_time_cv=0.4,
                 min_scale=3, max_scale=3, concurrency=4,
             )
         ]
-        plane = build_plane("s-spright", node, functions)
+        run = build_closed_loop(
+            "s-spright",
+            functions,
+            [RequestClass(name="lb", sequence=["fn-1"], payload_size=64)],
+            concurrency=16,
+            duration=duration,
+            client_overhead=0.0002,
+        )
+        plane = run.plane_obj
         if policy == "round_robin":
             plane.runtime.routing.pick_instance = (  # type: ignore[method-assign]
                 lambda fn, claimed=None, _d=plane.deployments["fn-1"]: (
                     _d.pick_round_robin(claimed)
                 )
             )
-        recorder = LatencyRecorder()
-        generator = ClosedLoopGenerator(
-            node,
-            plane,
-            WeightedMix([RequestClass(name="lb", sequence=["fn-1"], payload_size=64)]),
-            recorder,
-            concurrency=16,
-            duration=duration,
-            client_overhead=0.0002,
-        )
-        generator.start()
-        node.run(until=duration)
-        summary = recorder.summary("")
-        outcomes[policy] = {"mean_ms": summary.mean * 1e3, "p95_ms": summary.p95 * 1e3}
+        run.finish()
+        outcomes[policy] = {"mean_ms": run.latency_ms("mean"), "p95_ms": run.latency_ms("p95")}
     return outcomes
 
 

@@ -10,12 +10,12 @@ node's cores shrink together, preserving the offered-load-to-capacity ratio
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
-from ..dataplane import KnativeParams
+from ..dataplane import KnativeParams, RequestClass
 from ..stats import LatencyRecorder, format_table
 from ..workloads import boutique
-from .common import ScenarioResult, run_closed_loop
+from .common import ScenarioResult, build_closed_loop
 
 # Paper concurrency levels per plane.
 USERS = {"knative": 5000, "grpc": 5000, "s-spright": 25000, "d-spright": 25000}
@@ -59,6 +59,46 @@ class BoutiqueRun:
         return self.result.cpu_percent(prefix)
 
 
+def build_boutique(
+    plane: str,
+    scale: float = 0.1,
+    duration: float = 60.0,
+    seed: int = 2022,
+    users: Optional[int] = None,
+    spawn_rate: Optional[float] = None,
+    think_time=boutique.locust_think_time,
+    request_classes: Optional[Sequence[RequestClass]] = None,
+    **options,
+) -> ScenarioResult:
+    """Build the boutique closed loop on ``plane``; ``finish()`` runs it.
+
+    The plane's own functions, Locust think time and a 0.5 ms client; users
+    and spawn rate are the paper's, times ``scale``, unless given. The rest
+    of ``options`` (faults, policies, audit, sanitize) go to
+    :func:`~.common.build_closed_loop`.
+    """
+    if users is None:
+        users = max(8, int(USERS[plane] * scale))
+    if spawn_rate is None:
+        spawn_rate = max(4.0, SPAWN_RATES[plane] * scale)
+    return build_closed_loop(
+        plane,
+        boutique.spright_functions()
+        if plane in ("s-spright", "d-spright")
+        else boutique.go_grpc_functions(),
+        request_classes or boutique.request_classes(),
+        concurrency=users,
+        duration=duration,
+        scale=scale,
+        seed=seed,
+        spawn_rate=spawn_rate,
+        think_time=think_time,
+        client_overhead=0.0005,
+        knative_params=knative_boutique_params() if plane == "knative" else None,
+        **options,
+    )
+
+
 def run_boutique(
     plane: str,
     scale: float = 0.1,
@@ -66,29 +106,10 @@ def run_boutique(
     seed: int = 2022,
     users: Optional[int] = None,
 ) -> BoutiqueRun:
-    users = users if users is not None else max(8, int(USERS[plane] * scale))
-    spawn_rate = max(4.0, SPAWN_RATES[plane] * scale)
-    functions = (
-        boutique.spright_functions()
-        if plane in ("s-spright", "d-spright")
-        else boutique.go_grpc_functions()
-    )
-    result = run_closed_loop(
-        plane,
-        functions,
-        boutique.request_classes(),
-        concurrency=users,
-        duration=duration,
-        scale=scale,
-        seed=seed,
-        spawn_rate=spawn_rate,
-        think_time=boutique.locust_think_time,
-        client_overhead=0.0005,
-        knative_params=knative_boutique_params() if plane == "knative" else None,
-    )
+    result = build_boutique(plane, scale, duration, seed, users=users).finish()
     return BoutiqueRun(
         plane=plane,
-        users=users,
+        users=result.generator.concurrency,
         duration=duration,
         recorder=result.recorder,
         result=result,

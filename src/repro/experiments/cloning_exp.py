@@ -28,7 +28,7 @@ from ..cloning import LabResult, expected_min_service, run_clone_point
 from ..faults import ResiliencePolicy, clone_cost_for_plane
 from ..runtime import FunctionSpec
 from ..dataplane import RequestClass
-from .common import ScenarioResult, run_closed_loop
+from .common import ScenarioResult, build_closed_loop
 
 #: (target PS load, clone factor) validation points per service regime.
 VALIDATION_POINTS = {
@@ -123,7 +123,7 @@ def run_plane_sweep(
         sweep[plane] = {}
         for d in clone_factors:
             policy = ResiliencePolicy(clone_factor=d, clone_cost=cost)
-            sweep[plane][d] = run_closed_loop(
+            sweep[plane][d] = build_closed_loop(
                 plane,
                 [sweep_function()],
                 [sweep_request_class()],
@@ -133,7 +133,7 @@ def run_plane_sweep(
                 seed=seed,
                 client_overhead=0.002,
                 resilience=policy if policy.enabled() else None,
-            )
+            ).finish()
     return sweep
 
 

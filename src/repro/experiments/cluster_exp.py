@@ -30,7 +30,7 @@ the whole sanitized 3-node report against ``tests/goldens/cluster-smoke.txt``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..cluster import (
@@ -41,11 +41,10 @@ from ..cluster import (
     NodeDescriptor,
     build_cluster,
 )
-from ..dataplane import Dataplane, RequestClass, SprightParams
+from ..dataplane import Dataplane, RequestClass
 from ..runtime import ChainSpec, FunctionSpec
 from ..stats import LatencyRecorder, format_table
-from ..workloads import ClosedLoopGenerator, WeightedMix
-from .common import build_plane
+from .common import build_closed_loop, leaked_slots
 
 #: default plane set for the sweep (knative/d-spright accepted via --planes)
 CLUSTER_PLANES = ("grpc", "s-spright", "lambda-nic")
@@ -103,7 +102,8 @@ class ClusterRun:
     duration: float
     recorder: LatencyRecorder
     dataplane: Dataplane
-    extras: dict = field(default_factory=dict)
+    #: shared-memory buffers still live on any node after the drain
+    leaked_slots: int
 
     @property
     def rps(self) -> float:
@@ -134,10 +134,6 @@ class ClusterRun:
         )
 
     @property
-    def leaked_slots(self) -> int:
-        return leaked_slots(self.dataplane)
-
-    @property
     def offloaded(self) -> int:
         """Function runs on NIC cores."""
         return sum(engine.offloaded for engine in _engines(self.dataplane))
@@ -150,14 +146,6 @@ class ClusterRun:
             for deployment in self.dataplane.deployments.values()
             for pod in deployment.pods
         )
-
-
-def leaked_slots(dataplane: Dataplane) -> int:
-    """Shared-memory buffers still allocated on any node (call after a drain)."""
-    return sum(
-        runtime.pool.capacity - runtime.pool.free_count
-        for runtime in getattr(dataplane, "runtimes", {}).values()
-    )
 
 
 def _engines(dataplane: Dataplane) -> list:
@@ -184,29 +172,6 @@ def place_chain(
     return placement
 
 
-def build_cluster_plane(
-    plane: str,
-    policy: str,
-    nodes: int,
-    seed: int = 2022,
-    chain_factory=mixed_chain,
-    capacity: Optional[float] = None,
-    sanitize: Optional[bool] = None,
-) -> Dataplane:
-    """Build a cluster, place the chain under ``policy``, build the plane on
-    the placement with its ingress on the entry function's node."""
-    chain = chain_factory()
-    fabric = build_cluster(nodes, seed=seed, cores=8)
-    placement = place_chain(fabric, chain, policy, capacity)
-    return build_plane(
-        plane,
-        fabric.nodes[placement.node_of(chain.function_names[0])],
-        list(chain.functions),
-        spright_params=SprightParams(sanitize=sanitize),
-        placement=placement,
-    )
-
-
 def run_cluster_case(
     plane: str,
     policy: str,
@@ -219,40 +184,32 @@ def run_cluster_case(
     sanitize: Optional[bool] = None,
     drain: float = 0.5,
 ) -> ClusterRun:
-    """Build a cluster, place the chain, drive a closed loop, drain, report.
+    """Build a cluster, place the chain under ``policy``, drive a closed
+    loop from the entry function's node, drain, report.
 
     The post-duration ``drain`` lets in-flight requests finish so the
     leaked-slot count reflects real leaks, not requests cut off mid-chain.
     """
-    dataplane = build_cluster_plane(
-        plane, policy, nodes, seed, chain_factory, capacity, sanitize
-    )
-    env = dataplane.fabric.env
-    recorder = LatencyRecorder()
-    request_class = RequestClass("seq", sequence=list(dataplane.functions))
-    generator = ClosedLoopGenerator(
-        dataplane.node,
-        dataplane,
-        WeightedMix([request_class]),
-        recorder,
+    chain = chain_factory()
+    fabric = build_cluster(nodes, seed=seed, cores=8)
+    run = build_closed_loop(
+        plane,
+        list(chain.functions),
+        [RequestClass("seq", sequence=chain.function_names)],
         concurrency=concurrency,
         duration=duration,
-        client_overhead=0.0007,
-    )
-    generator.start()
-    env.run(until=duration)
-    env.run(until=duration + drain)
-    run = ClusterRun(
+        sanitize=sanitize,
+        placement=place_chain(fabric, chain, policy, capacity),
+    ).finish(drain)
+    return ClusterRun(
         plane=plane,
         policy=policy,
         nodes=nodes,
         duration=duration,
-        recorder=recorder,
-        dataplane=dataplane,
-        extras={"placement": dataplane.placement, "generator": generator},
+        recorder=run.recorder,
+        dataplane=run.plane_obj,
+        leaked_slots=leaked_slots(run.plane_obj),
     )
-    dataplane.teardown()
-    return run
 
 
 def run_cluster_sweep(

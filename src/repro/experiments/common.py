@@ -13,7 +13,7 @@ EXPERIMENTS.md compares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from ..audit import Auditor
@@ -45,15 +45,27 @@ PLANES = {
 
 @dataclass
 class ScenarioResult:
-    """Everything a run produced, for reporting and assertions."""
+    """One run: what a builder wired up, and what it records once finished.
+
+    A builder returns it before the clock moves; :meth:`finish` runs it.
+    """
 
     plane: str
     duration: float
     recorder: LatencyRecorder
     node: WorkerNode
     plane_obj: object
+    generator: object
     auditor: Optional[Auditor] = None
-    extras: dict = field(default_factory=dict)
+    supervisor: Optional[PodSupervisor] = None
+
+    def finish(self, drain: float = 0.0) -> "ScenarioResult":
+        """Run the clock to ``duration`` and, with a ``drain``, on to
+        ``duration + drain`` so in-flight requests finish. Returns the run."""
+        self.node.run(until=self.duration)
+        if drain:
+            self.node.run(until=self.duration + drain)
+        return self
 
     @property
     def rps(self) -> float:
@@ -129,7 +141,52 @@ def attach_recovery(
     return supervisor
 
 
-def run_closed_loop(
+def arm(
+    node: WorkerNode,
+    plane,
+    fault_plan: Optional[FaultPlan] = None,
+    resilience: Optional[ResiliencePolicy] = None,
+    admission: Optional[AdmissionPolicy] = None,
+    recovery: Optional[SupervisorPolicy] = None,
+) -> Optional[PodSupervisor]:
+    """Wire a built plane's faults and policies.
+
+    ``fault_plan`` arms the node's fault injector; ``resilience`` attaches a
+    gateway-side retry/hedge/breaker policy; ``admission`` bounds the front
+    door (queue limits / token bucket / CoDel shedding); ``recovery``
+    attaches a :class:`~repro.recovery.PodSupervisor` (see
+    :func:`attach_recovery`) and returns it. Each left None stays inert,
+    keeping fault-free runs bit-identical.
+    """
+    if fault_plan is not None:
+        node.faults.arm(fault_plan)
+    if resilience is not None:
+        plane.use_resilience(resilience)
+    if admission is not None:
+        plane.use_admission(admission)
+    if recovery is None:
+        return None
+    return attach_recovery(node, plane, recovery)
+
+
+def leaked_slots(plane) -> int:
+    """Shared-memory buffers still live on every node of ``plane``.
+
+    Call it after a drain, so requests cut off mid-chain are not counted.
+    A sanitizer watching a pool records each one as a LEAK violation with
+    its allocation site. Planes without a pool leak nothing.
+    """
+    leaked = 0
+    for runtime in getattr(plane, "runtimes", {}).values():
+        pool = runtime.pool
+        if runtime.sanitizer is not None:
+            leaked += len(runtime.sanitizer.check_teardown(pool))
+        else:
+            leaked += pool.capacity - pool.free_count
+    return leaked
+
+
+def build_closed_loop(
     plane_name: str,
     functions: list[FunctionSpec],
     request_classes: Sequence[RequestClass],
@@ -149,20 +206,23 @@ def run_closed_loop(
     resilience: Optional[ResiliencePolicy] = None,
     admission: Optional[AdmissionPolicy] = None,
     recovery: Optional[SupervisorPolicy] = None,
+    placement=None,
 ) -> ScenarioResult:
-    """One closed-loop scenario on a fresh node.
+    """Build one closed-loop run; :meth:`ScenarioResult.finish` runs it.
 
+    ``placement`` (a fabric-bound :class:`~repro.cluster.FunctionPlacement`)
+    spreads the functions over the fabric's nodes, the ingress being the
+    node of the first function; None builds one node with
+    :func:`make_node` from ``scale`` and ``seed``.
     ``sanitize`` forces memory-safety checked mode on (True) or off (False)
     for SPRIGHT planes; None defers to the params / process-wide default.
-    ``fault_plan`` arms the node's fault injector; ``resilience`` attaches a
-    gateway-side retry/hedge/breaker policy; ``admission`` bounds the front
-    door (queue limits / token bucket / CoDel shedding); ``recovery``
-    attaches a :class:`~repro.recovery.PodSupervisor` watching every
-    deployment (with SPRIGHT chain scavenging and post-restart registration
-    checks where the plane supports them). All default to inert, keeping
-    fault-free runs bit-identical.
+    ``fault_plan``, ``resilience``, ``admission`` and ``recovery`` go to
+    :func:`arm`.
     """
-    node = make_node(scale=scale, seed=seed)
+    if placement is None:
+        node = make_node(scale=scale, seed=seed)
+    else:
+        node = placement.fabric.nodes[placement.node_of(functions[0].name)]
     if sanitize is not None:
         spright_params = replace(
             spright_params or SprightParams(), sanitize=sanitize
@@ -173,16 +233,9 @@ def run_closed_loop(
         functions,
         knative_params=knative_params,
         spright_params=spright_params,
+        placement=placement,
     )
-    if fault_plan is not None:
-        node.faults.arm(fault_plan)
-    if resilience is not None:
-        plane.use_resilience(resilience)
-    if admission is not None:
-        plane.use_admission(admission)
-    supervisor: Optional[PodSupervisor] = None
-    if recovery is not None:
-        supervisor = attach_recovery(node, plane, recovery)
+    supervisor = arm(node, plane, fault_plan, resilience, admission, recovery)
     recorder = LatencyRecorder()
     auditor = Auditor(name=plane_name) if audit else None
     generator = ClosedLoopGenerator(
@@ -199,15 +252,8 @@ def run_closed_loop(
         warmup=warmup,
     )
     generator.start()
-    node.run(until=duration)
     return ScenarioResult(
-        plane=plane_name,
-        duration=duration,
-        recorder=recorder,
-        node=node,
-        plane_obj=plane,
-        auditor=auditor,
-        extras={"generator": generator, "supervisor": supervisor},
+        plane_name, duration, recorder, node, plane, generator, auditor, supervisor
     )
 
 

@@ -25,9 +25,7 @@ from ..faults import (
     load_plan,
 )
 from ..stats import format_table, percentile_cells_ms
-from ..workloads import boutique
-from .boutique_exp import SPAWN_RATES, USERS, knative_boutique_params
-from .common import run_closed_loop
+from .boutique_exp import build_boutique
 from .motion_exp import run_motion
 
 ALL_PLANES = ("knative", "grpc", "s-spright", "d-spright")
@@ -84,10 +82,10 @@ class FaultRunResult:
         }
 
 
-def _harvest(node, plane_obj) -> tuple[dict, dict, dict, int]:
-    """Pull faults/* counters, non-zero SPRIGHT recovery counters and
-    breaker trips out of a finished run."""
-    counters = node.counters.as_dict()
+def _fault_result(run, workload: str, sent: int, failed: int) -> FaultRunResult:
+    """One table cell from a finished run: latency cells, faults/*
+    counters, non-zero SPRIGHT recovery counters and breaker trips."""
+    counters = run.node.counters.as_dict()
     injected = {
         name.rsplit("/", 1)[-1]: count
         for name, count in sorted(counters.items())
@@ -105,8 +103,23 @@ def _harvest(node, plane_obj) -> tuple[dict, dict, dict, int]:
     recovery = {
         name: counters[name] for name in RECOVERY_COUNTERS if counters.get(name)
     }
-    trips = plane_obj.resilience.breaker_trips() if plane_obj.resilience else 0
-    return injected, resilience, recovery, trips
+    controller = run.plane_obj.resilience
+    p50, p99, p999 = percentile_cells_ms(run.recorder)
+    return FaultRunResult(
+        plane=run.plane,
+        workload=workload,
+        duration=run.duration,
+        sent=sent,
+        completed=run.recorder.count(""),
+        failed=failed,
+        p50_ms=p50,
+        p99_ms=p99,
+        p999_ms=p999,
+        injected=injected,
+        resilience=resilience,
+        recovery=recovery,
+        breaker_trips=controller.breaker_trips() if controller else 0,
+    )
 
 
 def run_faults_boutique(
@@ -118,45 +131,12 @@ def run_faults_boutique(
     seed: int = 2022,
 ) -> FaultRunResult:
     """Boutique closed loop on one plane with faults + resilience armed."""
-    users = max(8, int(USERS[plane] * scale))
-    spawn_rate = max(4.0, SPAWN_RATES[plane] * scale)
-    functions = (
-        boutique.spright_functions()
-        if plane in ("s-spright", "d-spright")
-        else boutique.go_grpc_functions()
-    )
-    result = run_closed_loop(
-        plane,
-        functions,
-        boutique.request_classes(),
-        concurrency=users,
-        duration=duration,
-        scale=scale,
-        seed=seed,
-        spawn_rate=spawn_rate,
-        think_time=boutique.locust_think_time,
-        client_overhead=0.0005,
-        knative_params=knative_boutique_params() if plane == "knative" else None,
-        fault_plan=fault_plan,
-        resilience=policy,
-    )
-    generator = result.extras["generator"]
-    injected, resilience, recovery, trips = _harvest(result.node, result.plane_obj)
-    p50, p99, p999 = percentile_cells_ms(result.recorder)
-    return FaultRunResult(
-        plane=plane,
-        workload="boutique",
-        duration=duration,
-        sent=generator.requests_sent,
-        completed=result.recorder.count(""),
-        failed=generator.requests_failed,
-        p50_ms=p50,
-        p99_ms=p99,
-        p999_ms=p999,
-        injected=injected,
-        resilience=resilience,
-        recovery=recovery,
-        breaker_trips=trips,
+    run = build_boutique(
+        plane, scale, duration, seed, fault_plan=fault_plan, resilience=policy
+    ).finish()
+    generator = run.generator
+    return _fault_result(
+        run, "boutique", generator.requests_sent, generator.requests_failed
     )
 
 
@@ -175,23 +155,7 @@ def run_faults_motion(
         fault_plan=fault_plan,
         resilience=policy,
     )
-    injected, resilience, recovery, trips = _harvest(run.node, run.plane_obj)
-    p50, p99, p999 = percentile_cells_ms(run.recorder)
-    return FaultRunResult(
-        plane=plane,
-        workload="motion",
-        duration=duration,
-        sent=run.generator.submitted,
-        completed=run.recorder.count(""),
-        failed=run.generator.failed,
-        p50_ms=p50,
-        p99_ms=p99,
-        p999_ms=p999,
-        injected=injected,
-        resilience=resilience,
-        recovery=recovery,
-        breaker_trips=trips,
-    )
+    return _fault_result(run, "motion", run.generator.submitted, run.generator.failed)
 
 
 def run_resilience_suite(

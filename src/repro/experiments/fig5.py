@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from ..dataplane import nginx_function
 from ..stats import format_table
-from .common import ScenarioResult, geometric_concurrency_levels, run_closed_loop
+from .common import ScenarioResult, build_closed_loop, geometric_concurrency_levels
 from ..dataplane.base import RequestClass
 
 CHAIN = ["fn-1", "fn-2"]
@@ -66,7 +66,7 @@ def _request_classes():
 def run_point(
     plane: str, concurrency: int, duration: float = 2.0, seed: int = 2022
 ) -> Fig5Point:
-    result: ScenarioResult = run_closed_loop(
+    result: ScenarioResult = build_closed_loop(
         plane,
         _functions(plane),
         _request_classes(),
@@ -74,7 +74,7 @@ def run_point(
         duration=duration,
         seed=seed,
         client_overhead=0.0007,  # ab client + loopback per request
-    )
+    ).finish()
     return Fig5Point(
         plane=plane,
         concurrency=concurrency,

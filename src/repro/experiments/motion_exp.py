@@ -9,9 +9,9 @@ when idle — and shows flat response times throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from ..dataplane import SprightParams
 from ..runtime import Autoscaler, AutoscalerPolicy, Kubelet, MetricsServer
 from ..stats import LatencyRecorder, format_table
 from ..workloads import OpenLoopGenerator
@@ -20,35 +20,24 @@ from ..workloads.motion import (
     motion_functions,
     synthesize_motion_trace,
 )
-from .common import attach_recovery, build_plane, make_node
+from .common import ScenarioResult, arm, build_plane, make_node
 
 
-@dataclass
-class MotionRun:
-    plane: str
-    duration: float
-    recorder: LatencyRecorder
-    node: object
-    plane_obj: object
-    cold_starts: int
-    generator: object = None  # the OpenLoopGenerator (submitted/failed counts)
-    supervisor: object = None  # the PodSupervisor, when recovery is attached
+class MotionRun(ScenarioResult):
+    """A motion run; its generator is the trace's OpenLoopGenerator."""
 
-    def latency_ms(self, which: str = "mean") -> float:
-        summary = self.recorder.summary("")
-        return getattr(summary, which) * 1e3
+    @property
+    def cold_starts(self) -> int:
+        return self.node.counters.get(f"{self.plane_obj.plane}/cold_starts")
 
     def max_latency_s(self) -> float:
         return self.recorder.summary("").maximum
 
     def fn_cpu_percent(self) -> float:
-        return self.node.cpu_percent_prefix(f"{self.plane_obj.plane}/fn", self.duration)
+        return self.cpu_percent("fn")
 
     def qp_cpu_percent(self) -> float:
-        return self.node.cpu_percent_prefix(f"{self.plane_obj.plane}/qp", self.duration)
-
-    def latency_series(self, bucket: float = 30.0):
-        return self.recorder.latency_series(bucket=bucket)
+        return self.cpu_percent("qp")
 
 
 def run_motion(
@@ -62,8 +51,10 @@ def run_motion(
     admission=None,
     recovery=None,
     sanitize=None,
+    drain: float = 0.0,
 ) -> MotionRun:
-    """One plane over the same synthetic MERL-like trace.
+    """One plane over the same synthetic MERL-like trace, finished with
+    ``drain`` (see :meth:`~.common.ScenarioResult.finish`).
 
     ``fault_plan``/``resilience`` (see :mod:`repro.faults`) rerun the trace
     under injected failures with gateway-side retries; ``admission``/
@@ -80,28 +71,15 @@ def run_motion(
         termination_lag=30.0 if zero_scale else 0.0,
     )
     metrics = MetricsServer(registry=node.obs.registry)
-    spright_params = None
-    if sanitize is not None:
-        from ..dataplane import SprightParams
-
-        spright_params = SprightParams(sanitize=sanitize)
     plane_obj = build_plane(
         plane,
         node,
         functions,
         kubelet=kubelet,
         metrics_server=metrics,
-        spright_params=spright_params,
+        spright_params=SprightParams(sanitize=sanitize),
     )
-    if fault_plan is not None:
-        node.faults.arm(fault_plan)
-    if resilience is not None:
-        plane_obj.use_resilience(resilience)
-    if admission is not None:
-        plane_obj.use_admission(admission)
-    supervisor = None
-    if recovery is not None:
-        supervisor = attach_recovery(node, plane_obj, recovery)
+    supervisor = arm(node, plane_obj, fault_plan, resilience, admission, recovery)
     if zero_scale:
         autoscaler = Autoscaler(node, metrics)
         for deployment in plane_obj.deployments.values():
@@ -114,17 +92,10 @@ def run_motion(
     trace = synthesize_motion_trace(node, params)
     generator = OpenLoopGenerator(node, plane_obj, trace, recorder)
     generator.start()
-    node.run(until=duration)
-    return MotionRun(
-        plane=plane,
-        duration=duration,
-        recorder=recorder,
-        node=node,
-        plane_obj=plane_obj,
-        cold_starts=node.counters.get(f"{plane_obj.plane}/cold_starts"),
-        generator=generator,
-        supervisor=supervisor,
+    run = MotionRun(
+        plane, duration, recorder, node, plane_obj, generator, supervisor=supervisor
     )
+    return run.finish(drain)
 
 
 def run_fig11(duration: float = 3600.0, seed: int = 2022):

@@ -30,8 +30,8 @@ from ..faults import FaultPlan, load_plan
 from ..recovery import AdmissionPolicy, SupervisorPolicy
 from ..stats import format_table, window_percentile_cells_ms
 from ..workloads import boutique
-from .boutique_exp import SPAWN_RATES, USERS, knative_boutique_params
-from .common import run_closed_loop
+from .boutique_exp import build_boutique
+from .common import leaked_slots
 from .motion_exp import run_motion
 
 ALL_PLANES = ("knative", "grpc", "s-spright", "d-spright")
@@ -121,22 +121,6 @@ def default_recovery_policy() -> SupervisorPolicy:
     return SupervisorPolicy(check_interval=0.25, restart_cost_mean=0.5)
 
 
-def _leak_check(plane_obj) -> tuple[int, int]:
-    """(leaked slots, sanitizer-observed orphan reclaims) for SPRIGHT planes.
-
-    Counts buffers still live after the drain via the chain sanitizer's
-    teardown check (allocation sites land in its violation log); planes
-    without a shared-memory pool trivially leak nothing.
-    """
-    runtime = getattr(plane_obj, "runtime", None)
-    if runtime is None:
-        return 0, 0
-    sanitizer = runtime.sanitizer
-    if sanitizer is None:
-        return len(runtime.pool.live_handles()), 0
-    return len(sanitizer.check_teardown(runtime.pool)), sanitizer.orphan_reclaims
-
-
 def _recovery_window(
     fault_plan: Optional[FaultPlan], supervisor, duration: float
 ) -> tuple[float, float]:
@@ -164,6 +148,39 @@ def _harvest_recovery(node, supervisor) -> dict:
     }
 
 
+def _crash_storm_result(
+    run, workload: str, fault_plan: FaultPlan, drain: float, sent: int, failed: int
+) -> RecoveryRunResult:
+    """One crash-storm row from a run finished with ``drain``."""
+    stats = _harvest_recovery(run.node, run.supervisor)
+    start, end = _recovery_window(fault_plan, run.supervisor, run.duration)
+    p99_d, p999_d = window_percentile_cells_ms(run.recorder, start, end)
+    p99_a, p999_a = window_percentile_cells_ms(
+        run.recorder, end, run.duration + drain
+    )
+    return RecoveryRunResult(
+        plane=run.plane,
+        workload=workload,
+        scenario="crash-storm",
+        duration=run.duration,
+        sent=sent,
+        completed=run.recorder.count(""),
+        failed=failed,
+        p99_during_ms=p99_d,
+        p999_during_ms=p999_d,
+        p99_after_ms=p99_a,
+        p999_after_ms=p999_a,
+        leaked_slots=leaked_slots(run.plane_obj),
+        sanitizer_orphans=sum(
+            runtime.sanitizer.orphan_reclaims
+            for runtime in getattr(run.plane_obj, "runtimes", {}).values()
+            if runtime.sanitizer is not None
+        ),
+        extras={"recovery_window": (start, end)},
+        **stats,
+    )
+
+
 def run_recovery_boutique(
     plane: str,
     fault_plan: Optional[FaultPlan] = None,
@@ -174,68 +191,33 @@ def run_recovery_boutique(
     seed: int = 2022,
     drain: float = DRAIN,
 ) -> RecoveryRunResult:
-    """Boutique closed loop through a crash storm with the supervisor on."""
+    """Boutique closed loop through a crash storm with the supervisor on.
+
+    The run drains for ``drain`` so the leak check sees a quiesced pool.
+    """
     if fault_plan is None:
         fault_plan = load_plan("crash-storm")
     if recovery is None:
         recovery = default_recovery_policy()
-    users = max(8, int(USERS[plane] * scale))
-    spawn_rate = max(4.0, SPAWN_RATES[plane] * scale)
-    functions = (
-        boutique.spright_functions()
-        if plane in ("s-spright", "d-spright")
-        else boutique.go_grpc_functions()
-    )
-    result = run_closed_loop(
+    run = build_boutique(
         plane,
-        functions,
-        prioritized_request_classes(),
-        concurrency=users,
-        duration=duration,
-        scale=scale,
-        seed=seed,
-        spawn_rate=spawn_rate,
-        think_time=boutique.locust_think_time,
-        client_overhead=0.0005,
-        knative_params=knative_boutique_params() if plane == "knative" else None,
+        scale,
+        duration,
+        seed,
+        request_classes=prioritized_request_classes(),
         sanitize=True,
         fault_plan=fault_plan,
         admission=admission,
         recovery=recovery,
-    )
-    # Quiesce: let in-flight requests finish so the leak check is honest.
-    result.node.run(until=duration + drain)
-    supervisor = result.extras["supervisor"]
-    generator = result.extras["generator"]
-    stats = _harvest_recovery(result.node, supervisor)
-    start, end = _recovery_window(fault_plan, supervisor, duration)
-    p99_d, p999_d = window_percentile_cells_ms(result.recorder, start, end)
-    p99_a, p999_a = window_percentile_cells_ms(
-        result.recorder, end, duration + drain
-    )
-    leaked, sanitizer_orphans = _leak_check(result.plane_obj)
-    return RecoveryRunResult(
-        plane=plane,
-        workload="boutique",
-        scenario="crash-storm",
-        duration=duration,
-        sent=generator.requests_sent,
-        completed=result.recorder.count(""),
-        failed=generator.requests_failed,
-        shed=stats["shed"],
-        crashes_detected=stats["crashes_detected"],
-        restarts=stats["restarts"],
-        restored=stats["restored"],
-        orphans_reclaimed=stats["orphans_reclaimed"],
-        sanitizer_orphans=sanitizer_orphans,
-        mttr_mean_s=stats["mttr_mean_s"],
-        mttr_max_s=stats["mttr_max_s"],
-        p99_during_ms=p99_d,
-        p999_during_ms=p999_d,
-        p99_after_ms=p99_a,
-        p999_after_ms=p999_a,
-        leaked_slots=leaked,
-        extras={"recovery_window": (start, end)},
+    ).finish(drain)
+    generator = run.generator
+    return _crash_storm_result(
+        run,
+        "boutique",
+        fault_plan,
+        drain,
+        generator.requests_sent,
+        generator.requests_failed,
     )
 
 
@@ -258,35 +240,10 @@ def run_recovery_motion(
         fault_plan=fault_plan,
         recovery=recovery,
         sanitize=True,
+        drain=DRAIN,
     )
-    run.node.run(until=duration + DRAIN)
-    stats = _harvest_recovery(run.node, run.supervisor)
-    start, end = _recovery_window(fault_plan, run.supervisor, duration)
-    p99_d, p999_d = window_percentile_cells_ms(run.recorder, start, end)
-    p99_a, p999_a = window_percentile_cells_ms(run.recorder, end, duration + DRAIN)
-    leaked, sanitizer_orphans = _leak_check(run.plane_obj)
-    return RecoveryRunResult(
-        plane=plane,
-        workload="motion",
-        scenario="crash-storm",
-        duration=duration,
-        sent=run.generator.submitted,
-        completed=run.recorder.count(""),
-        failed=run.generator.failed,
-        shed=stats["shed"],
-        crashes_detected=stats["crashes_detected"],
-        restarts=stats["restarts"],
-        restored=stats["restored"],
-        orphans_reclaimed=stats["orphans_reclaimed"],
-        sanitizer_orphans=sanitizer_orphans,
-        mttr_mean_s=stats["mttr_mean_s"],
-        mttr_max_s=stats["mttr_max_s"],
-        p99_during_ms=p99_d,
-        p999_during_ms=p999_d,
-        p99_after_ms=p99_a,
-        p999_after_ms=p999_a,
-        leaked_slots=leaked,
-        extras={"recovery_window": (start, end)},
+    return _crash_storm_result(
+        run, "motion", fault_plan, DRAIN, run.generator.submitted, run.generator.failed
     )
 
 
@@ -304,7 +261,8 @@ def run_overload_boutique(
     (``scale``) is hit by a zero-think closed loop of ``users`` clients —
     far more concurrency than the chain can serve at its latency target.
     The identical overload runs twice — once unprotected, once with the
-    admission policy — and the protected run is reported, with the
+    admission policy, each drained for ``DRAIN`` so both count the same
+    completions — and the protected run is reported, with the
     unprotected goodput in ``extras["goodput_no_shed"]`` for the
     no-collapse comparison.
     """
@@ -324,29 +282,18 @@ def run_overload_boutique(
             delay_window=0.5,
             max_degrade_level=1,
         )
-    functions = (
-        boutique.spright_functions()
-        if plane in ("s-spright", "d-spright")
-        else boutique.go_grpc_functions()
-    )
     kwargs = dict(
-        concurrency=users,
-        duration=duration,
-        scale=scale,
-        seed=seed,
+        users=users,
         spawn_rate=max(32.0, users / 2.0),
-        client_overhead=0.0005,
-        knative_params=knative_boutique_params() if plane == "knative" else None,
+        think_time=None,
+        request_classes=prioritized_request_classes(),
         sanitize=True,
     )
-    baseline = run_closed_loop(
-        plane, functions, prioritized_request_classes(), **kwargs
-    )
-    protected = run_closed_loop(
-        plane, functions, prioritized_request_classes(), admission=admission, **kwargs
-    )
-    protected.node.run(until=duration + DRAIN)
-    generator = protected.extras["generator"]
+    baseline = build_boutique(plane, scale, duration, seed, **kwargs).finish(DRAIN)
+    protected = build_boutique(
+        plane, scale, duration, seed, admission=admission, **kwargs
+    ).finish(DRAIN)
+    generator = protected.generator
     counters = protected.node.counters.as_dict()
     shed_by_class = {
         name.rsplit("/", 1)[-1]: count
@@ -355,7 +302,6 @@ def run_overload_boutique(
     }
     p99, p999 = window_percentile_cells_ms(protected.recorder, 0.0, math.inf)
     base_p99, _ = window_percentile_cells_ms(baseline.recorder, 0.0, math.inf)
-    leaked, _ = _leak_check(protected.plane_obj)
     return RecoveryRunResult(
         plane=plane,
         workload="boutique",
@@ -369,7 +315,7 @@ def run_overload_boutique(
         p999_during_ms=p999,
         p99_after_ms=p99,
         p999_after_ms=p999,
-        leaked_slots=leaked,
+        leaked_slots=leaked_slots(protected.plane_obj),
         extras={
             "goodput_no_shed": baseline.recorder.count("") / duration,
             "p99_no_shed_ms": base_p99,

@@ -19,15 +19,13 @@ flamegraph stacks) are written by :func:`write_trace_artifacts`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..audit import OverheadKind
 from ..obs import Observability, coverage, default_observe, set_default_observe
 from ..stats import format_table
-from ..workloads import boutique
-from .boutique_exp import SPAWN_RATES, USERS, knative_boutique_params
-from .common import run_closed_loop
+from .boutique_exp import build_boutique
 from .motion_exp import run_motion
 
 WORKLOADS = ("boutique", "motion")
@@ -45,7 +43,6 @@ class TracedRun:
     node: object
     plane_obj: object
     auditor: Optional[object] = None
-    extras: dict = field(default_factory=dict)
 
     # -- span-tree views -----------------------------------------------------
     def coverages(self) -> list[float]:
@@ -95,52 +92,21 @@ def run_traced(
     set_default_observe(trace=True, profile=True)
     try:
         if workload == "boutique":
-            users = max(8, int(USERS[plane] * scale))
-            spawn_rate = max(4.0, SPAWN_RATES[plane] * scale)
-            functions = (
-                boutique.spright_functions()
-                if plane in ("s-spright", "d-spright")
-                else boutique.go_grpc_functions()
-            )
-            result = run_closed_loop(
-                plane,
-                functions,
-                boutique.request_classes(),
-                concurrency=users,
-                duration=duration,
-                scale=scale,
-                seed=seed,
-                spawn_rate=spawn_rate,
-                think_time=boutique.locust_think_time,
-                client_overhead=0.0005,
-                knative_params=knative_boutique_params() if plane == "knative" else None,
-                audit=True,
-            )
-            run = TracedRun(
-                plane=plane,
-                workload=workload,
-                duration=duration,
-                obs=result.node.obs,
-                recorder=result.recorder,
-                node=result.node,
-                plane_obj=result.plane_obj,
-                auditor=result.auditor,
-                extras=result.extras,
-            )
+            result = build_boutique(plane, scale, duration, seed, audit=True).finish()
         else:
-            motion = run_motion(plane, duration=duration, seed=seed)
-            run = TracedRun(
-                plane=plane,
-                workload=workload,
-                duration=duration,
-                obs=motion.node.obs,
-                recorder=motion.recorder,
-                node=motion.node,
-                plane_obj=motion.plane_obj,
-                extras={"generator": motion.generator},
-            )
+            result = run_motion(plane, duration=duration, seed=seed)
     finally:
         set_default_observe(trace=saved[0], profile=saved[1])
+    run = TracedRun(
+        plane=plane,
+        workload=workload,
+        duration=duration,
+        obs=result.node.obs,
+        recorder=result.recorder,
+        node=result.node,
+        plane_obj=result.plane_obj,
+        auditor=result.auditor,
+    )
     _record_latency_histogram(run)
     return run
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from ..dataplane import SprightParams, nginx_function
 from ..dataplane.base import RequestClass
 from ..stats import format_table
-from .common import run_closed_loop
+from .common import build_closed_loop
 
 CHAIN = ["fn-1", "fn-2"]
 
@@ -32,7 +32,7 @@ def run_point(
     duration: float = 2.0,
     seed: int = 2022,
 ) -> XdpPoint:
-    result = run_closed_loop(
+    result = build_closed_loop(
         "s-spright",
         [nginx_function(name) for name in CHAIN],
         [RequestClass(name="xdp", sequence=CHAIN, payload_size=100)],
@@ -41,7 +41,7 @@ def run_point(
         seed=seed,
         client_overhead=0.0004,
         spright_params=SprightParams(use_xdp_acceleration=accelerated),
-    )
+    ).finish()
     return XdpPoint(
         accelerated=accelerated,
         rps=result.rps,

@@ -223,9 +223,9 @@ def test_ps_conserves_total_work_vs_fcfs(works):
 
 def test_clone_storm_sanitize_reports_zero_leaks():
     from repro.experiments.cloning_exp import sweep_function, sweep_request_class
-    from repro.experiments.common import run_closed_loop
+    from repro.experiments.common import build_closed_loop
 
-    result = run_closed_loop(
+    result = build_closed_loop(
         "s-spright",
         [sweep_function()],
         [sweep_request_class()],
@@ -237,7 +237,7 @@ def test_clone_storm_sanitize_reports_zero_leaks():
         resilience=ResiliencePolicy(
             clone_factor=3, clone_cost=clone_cost_for_plane("s-spright")
         ),
-    )
+    ).finish()
     counters = result.node.counters.as_dict()
     assert counters.get("cloning/clones", 0) > 0, "the storm must actually clone"
     # quiesce so the teardown check is honest, then: zero leaked slots and

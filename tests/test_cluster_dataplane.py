@@ -129,7 +129,7 @@ def test_one_node_placement_is_the_single_node_plane(plane):
             dict(node.cpu.accounting.total_busy),
         )
 
-    clustered = cluster_exp.build_cluster_plane(plane, "chain_locality", 1)
+    clustered = _cluster(plane, nodes=1)
     # build_cluster(1, cores=8) is make_node's 0.2 scale of 40 cores.
     single = build_plane(
         plane, make_node(scale=0.2), list(cluster_exp.mixed_chain().functions)
@@ -194,10 +194,12 @@ def test_lambda_nic_heavy_function_falls_back_to_host_pods():
 
 
 def _cluster(plane="s-spright", policy="chain_locality", nodes=3, chain=None):
-    chain_factory = (lambda: chain) if chain else cluster_exp.mixed_chain
-    return cluster_exp.build_cluster_plane(
-        plane, policy, nodes, chain_factory=chain_factory
-    )
+    """The plane over a placement of ``chain``, its ingress the node of
+    the chain's first function."""
+    chain = chain or cluster_exp.mixed_chain()
+    placement = cluster_exp.place_chain(build_cluster(nodes, cores=8), chain, policy)
+    ingress = placement.fabric.nodes[placement.node_of(chain.function_names[0])]
+    return build_plane(plane, ingress, list(chain.functions), placement=placement)
 
 
 def _closed_loop(dataplane, users, duration=0.3, drain=0.5, think=0.0007):

@@ -33,15 +33,11 @@ import hashlib
 
 import pytest
 
-from repro.dataplane import SprightParams
-from repro.experiments.boutique_exp import knative_boutique_params
-from repro.experiments.common import attach_recovery, build_plane, make_node
+from repro.experiments.boutique_exp import build_boutique
 from repro.experiments.recovery_exp import default_recovery_policy
 from repro.faults import NAMED_PLANS, default_resilience_for_plane
 from repro.obs import set_default_observe
 from repro.simcore import Process, Resource, ResourceRequest
-from repro.stats import LatencyRecorder
-from repro.workloads import ClosedLoopGenerator, WeightedMix, boutique
 
 #: name -> (plane, users, load seconds, chaos)
 EPISODES = {
@@ -98,36 +94,26 @@ CALLBACKLESS_EVENTS = {
 
 
 def build_episode(plane_name: str, users: int, duration: float, chaos: bool):
-    spright = plane_name in ("s-spright", "d-spright")
+    """The episode's boutique run, built and not yet run.
+
+    The caller drives the clock itself, because it wraps ``step``.
+    """
     set_default_observe(trace=chaos, profile=chaos)
     try:
-        node = make_node(scale=0.1, seed=SEED)
+        return build_boutique(
+            plane_name,
+            scale=0.1,
+            duration=duration,
+            seed=SEED,
+            users=users,
+            spawn_rate=users / 5.5,
+            sanitize=False,
+            fault_plan=NAMED_PLANS["loss-crash"]() if chaos else None,
+            resilience=default_resilience_for_plane(plane_name) if chaos else None,
+            recovery=default_recovery_policy() if chaos else None,
+        )
     finally:
         set_default_observe(trace=False, profile=False)
-    plane = build_plane(
-        plane_name,
-        node,
-        boutique.spright_functions() if spright else boutique.go_grpc_functions(),
-        knative_params=knative_boutique_params() if plane_name == "knative" else None,
-        spright_params=SprightParams(sanitize=False) if spright else None,
-    )
-    if chaos:
-        node.faults.arm(NAMED_PLANS["loss-crash"]())
-        plane.use_resilience(default_resilience_for_plane(plane_name))
-        attach_recovery(node, plane, default_recovery_policy())
-    recorder = LatencyRecorder()
-    ClosedLoopGenerator(
-        node,
-        plane,
-        WeightedMix(boutique.request_classes()),
-        recorder,
-        concurrency=users,
-        duration=duration,
-        spawn_rate=users / 5.5,
-        think_time=boutique.locust_think_time,
-        client_overhead=0.0005,
-    ).start()
-    return node, recorder
 
 
 def _callback_name(callback) -> str:
@@ -142,7 +128,8 @@ def event_stream(name: str, monkeypatch) -> tuple[str, int, int, int, int]:
     """(projected sha256, callback-less events, ``ResourceRequest`` events,
     ``grant_now`` successes, completed requests)."""
     plane_name, users, duration, chaos = EPISODES[name]
-    node, recorder = build_episode(plane_name, users, duration, chaos)
+    run = build_episode(plane_name, users, duration, chaos)
+    node, recorder = run.node, run.recorder
     env = node.env
     digest = hashlib.sha256()
     bare = [0]

@@ -404,10 +404,10 @@ def test_breaker_fails_fast_after_consecutive_failures():
 # -- end-to-end: empty plan is bit-identical ---------------------------------------
 
 def boutique_latencies(fault_plan=None, resilience=None):
-    from repro.experiments.common import run_closed_loop
+    from repro.experiments.common import build_closed_loop
     from repro.workloads import boutique
 
-    result = run_closed_loop(
+    result = build_closed_loop(
         "grpc",
         boutique.go_grpc_functions(),
         boutique.request_classes(),
@@ -416,7 +416,7 @@ def boutique_latencies(fault_plan=None, resilience=None):
         scale=0.05,
         fault_plan=fault_plan,
         resilience=resilience,
-    )
+    ).finish()
     return result.recorder.latencies("")
 
 

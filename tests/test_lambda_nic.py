@@ -1,7 +1,7 @@
 """λ-NIC single-node plane: eligibility, fallback, and determinism."""
 
 from repro.dataplane import RequestClass
-from repro.experiments.common import run_closed_loop
+from repro.experiments.common import build_closed_loop
 from repro.dataplane.spright.xdp_accel import NicComputeEngine, NicComputeModel
 from repro.kernel import NodeConfig
 from repro.runtime import FunctionSpec, WorkerNode
@@ -19,7 +19,7 @@ MIXED = SHORT + [FunctionSpec("render", 200e-6)]  # over the NIC ceiling
 
 
 def _run(functions, concurrency=8, duration=0.5, seed=2022, **kwargs):
-    return run_closed_loop(
+    return build_closed_loop(
         "lambda-nic",
         functions,
         [RequestClass("seq", sequence=[f.name for f in functions])],
@@ -27,7 +27,7 @@ def _run(functions, concurrency=8, duration=0.5, seed=2022, **kwargs):
         duration=duration,
         seed=seed,
         **kwargs,
-    )
+    ).finish()
 
 
 # --- offload decision -------------------------------------------------------

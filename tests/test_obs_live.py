@@ -142,11 +142,11 @@ def test_environment_observer_sees_every_event():
 
 def test_live_attached_run_is_byte_identical_to_headless():
     """The tentpole contract: observing a run changes nothing about it."""
-    from repro.experiments.common import run_closed_loop
+    from repro.experiments.common import build_closed_loop
     from repro.workloads import boutique
 
     def one_run():
-        result = run_closed_loop(
+        result = build_closed_loop(
             "s-spright",
             boutique.spright_functions(),
             boutique.request_classes(),
@@ -154,7 +154,7 @@ def test_live_attached_run_is_byte_identical_to_headless():
             duration=1.0,
             scale=0.05,
             audit=True,
-        )
+        ).finish()
         return (
             result.auditor.table().render(),
             result.recorder.summary("").as_dict(),

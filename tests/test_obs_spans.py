@@ -76,12 +76,14 @@ def assert_tree_invariants(tracer):
                 f"{span.name} [{span.start}, {span.end}] escapes "
                 f"{parent.name} [{parent.start}, {parent.end}]"
             )
-    # Phases of one root never overlap and are monotone.
+    # Phases of one root never overlap and are monotone. Group them by
+    # parent once, in creation order, rather than scanning every span per root.
+    phases_of = {}
+    for span in spans:
+        if span.category == "phase":
+            phases_of.setdefault(span.parent, []).append(span)
     for root in tracer.roots():
-        phases = sorted(
-            (s for s in spans if s.parent == root.sid and s.category == "phase"),
-            key=lambda s: s.start,
-        )
+        phases = sorted(phases_of.get(root.sid, ()), key=lambda s: s.start)
         for before, after in zip(phases, phases[1:]):
             assert after.start >= before.end - EPS
 

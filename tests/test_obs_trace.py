@@ -133,11 +133,11 @@ def test_observe_defaults_restored_after_run_traced(traced_run):
 def test_traced_run_tables_byte_identical():
     """Tracing+profiling must not change a single byte of the tables."""
     from repro.audit import OverheadKind
-    from repro.experiments.common import run_closed_loop
+    from repro.experiments.common import build_closed_loop
     from repro.workloads import boutique
 
     def one_run():
-        result = run_closed_loop(
+        result = build_closed_loop(
             "s-spright",
             boutique.spright_functions(),
             boutique.request_classes(),
@@ -145,7 +145,7 @@ def test_traced_run_tables_byte_identical():
             duration=2.0,
             scale=0.05,
             audit=True,
-        )
+        ).finish()
         return (
             result.auditor.table().render(),
             result.recorder.summary("").as_dict(),

@@ -543,10 +543,10 @@ def test_plane_submit_sheds_with_typed_error_and_counter():
 # -- byte-identity: disarmed recovery is free --------------------------------------
 
 def boutique_latencies(**kwargs):
-    from repro.experiments.common import run_closed_loop
+    from repro.experiments.common import build_closed_loop
     from repro.workloads import boutique
 
-    result = run_closed_loop(
+    result = build_closed_loop(
         "s-spright",
         boutique.spright_functions(),
         boutique.request_classes(),
@@ -554,7 +554,7 @@ def boutique_latencies(**kwargs):
         duration=2.0,
         scale=0.05,
         **kwargs,
-    )
+    ).finish()
     return result.recorder.latencies("")
 
 
@@ -611,3 +611,16 @@ def test_recovery_boutique_smoke_heals_and_leaks_nothing():
     assert result.leaked_slots == 0
     assert result.completed > 0
     assert result.orphans_reclaimed == result.sanitizer_orphans
+
+
+def test_crash_storm_availability_table_matches_golden():
+    """The CI crash-storm run, pinned byte for byte: sent, goodput, MTTR,
+    orphans, leaked slots and the during/after tail latencies."""
+    from pathlib import Path
+
+    from repro.experiments import recovery_exp
+
+    result = recovery_exp.run_recovery_boutique("s-spright", scale=0.02, duration=14.0)
+    golden = Path(__file__).parent / "goldens" / "recovery-crash-storm.txt"
+    table = recovery_exp.format_availability_table([result])
+    assert table + "\n" == golden.read_text()

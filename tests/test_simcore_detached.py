@@ -133,7 +133,8 @@ def test_detached_process_failure_propagates_at_once(observed):
 def test_unobserved_loop_equals_step(name):
     def run(observed: bool):
         plane, users, duration, chaos = EPISODES[name]
-        node, recorder = build_episode(plane, users, duration, chaos)
+        episode = build_episode(plane, users, duration, chaos)
+        node, recorder = episode.node, episode.recorder
         _observe(node.env, observed)
         node.run(until=duration + DRAIN)
         samples = [
