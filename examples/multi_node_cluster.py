@@ -20,10 +20,8 @@ def main() -> None:
     print(f"{'policy':<16}{'xnode hops/req':>16}{'p99 ms':>10}{'rps':>8}  placement")
     for policy in ("chain_locality", "bin_pack", "spread"):
         run = run_cluster_case("s-spright", policy, 3, duration=0.5)
-        placement = run.dataplane.placement
         layout = " ".join(
-            f"{fn}@{placement.node_of(fn).replace('worker-', 'w')}"
-            for fn in run.dataplane.functions
+            f"{fn}@{node.replace('worker-', 'w')}" for fn, node in run.placement.items()
         )
         print(
             f"{policy:<16}{run.hops_per_request:>16.1f}{run.p99_ms:>10.3f}"

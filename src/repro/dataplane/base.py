@@ -9,7 +9,7 @@ redirects) and its own overheads — the differences the paper measures.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Optional
 

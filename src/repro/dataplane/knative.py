@@ -8,7 +8,7 @@ overhead growth the paper criticizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..audit import Stage

@@ -17,7 +17,7 @@ container, kernel stack).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from ..audit import Stage
 from ..kernel import KernelOps

@@ -19,7 +19,6 @@ from ...protocols import (
     CoapMessage,
     ConnackPacket,
     ConnectPacket,
-    HttpRequest,
     MqttError,
     PacketType,
     PubackPacket,

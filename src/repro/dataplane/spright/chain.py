@@ -1,4 +1,4 @@
-"""The SPRIGHT chain runtime: gateway, function workers, and transports.
+"""The SPRIGHT chain runtime: gateway, chain members, and transports.
 
 This is the paper's §3 assembled: a per-chain SPRIGHT gateway consolidating
 protocol processing (§3.1), zero-copy payloads in the chain's private
@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Optional
 
 from ...audit import RequestTrace, Stage
 from ...kernel.ebpf import ArrayMap, HookPoint, ProgramType, Scratch, SockMap, programs
+from ...kernel.ops import SPROXY_RECEIVE
 from ...mem import (
     BufferHandle,
     PacketDescriptor,
@@ -28,7 +29,7 @@ from ...mem import (
 )
 from ...runtime import Deployment, MetricsServer, PodMetrics, RESPONSE
 from ...runtime.pod import Pod
-from ...simcore import DeliveryError, Event, Interrupt
+from ...simcore import DeliveryError, Event
 from ..base import ProxyComponent, Request
 from ..legs import chain_step_stage
 from .routing import DfrRoutingTable, GATEWAY_INSTANCE_ID
@@ -79,7 +80,7 @@ class SprightMessage:
     # Failure/cancellation lifecycle (fault injection, resilience layer):
     cancelled: bool = False  # requester gave up; the chain frees the buffer
     freed: bool = False      # single-free guard (requester XOR chain frees)
-    in_chain: bool = False   # a descriptor for it reached some inbox/ring
+    in_chain: bool = False   # a descriptor for it reached some member's endpoint
     failed_error: Optional[DeliveryError] = None  # set when delivery failed
     # The runtime whose pool holds ``handle``; it changes when the message
     # crosses to another node. None means the runtime handling it.
@@ -122,6 +123,90 @@ class SpinCharger:
             bucket += 1
 
 
+class Wake(Event):
+    """An event-driven member's wake, at the instant a descriptor landed."""
+
+    __slots__ = ()
+
+    def __init__(self, env, callback) -> None:
+        super().__init__(env)
+        self._value = None
+        self.callbacks = [callback]
+        env.schedule(self)
+
+
+class Member:
+    """Where one chain member's descriptors land (② Fig 4): each starts
+    ``make_handler()``'s handler in place, with no dispatcher in between.
+
+    It keeps the schedule of the dispatch loop it replaced (DESIGN.md, "How
+    a descriptor arrives"). A process started with the member arms it. A
+    put to an idle member wakes it at the put instant: a :class:`Wake`
+    when ``poll_interval`` is None (SPROXY), else a not-empty event and,
+    ``poll_interval`` later, a drain (an RTE ring). Each turn takes what
+    is queued while ``alive()`` holds, one per wake or the whole ring,
+    arranges the next wake, and only then starts the handlers inline. A
+    member whose ``alive()`` failed never wakes again.
+    """
+
+    __slots__ = ("env", "endpoint", "handler", "alive", "poll_interval", "_idle")
+
+    def __init__(
+        self, env, endpoint, make_handler, alive, name: str,
+        poll_interval: Optional[float] = None,
+    ) -> None:
+        self.env = env
+        self.endpoint = endpoint
+        self.handler = make_handler
+        self.alive = alive
+        self.poll_interval = poll_interval
+        self._idle = False
+        endpoint.on_enqueue = self._landed
+        env.process(self._arm(), name=name, detached=True)
+
+    def _arm(self):
+        """The loop's first step: set up, check ``alive()``, then wait."""
+        # Built here, as the loop built it: a pod's KernelOps reads whether
+        # the node is traced, which may be switched on after deployment.
+        self.handler = self.handler()
+        self._follow([])
+        return
+        yield  # pragma: no cover - makes the arming a process's first step
+
+    def _landed(self) -> None:
+        """The endpoint accepted a descriptor: an idle member wakes."""
+        if self._idle:
+            self._idle = False
+            if self.poll_interval is None:
+                Wake(self.env, self._wake)
+            else:
+                event = Event(self.env)
+                event.callbacks.append(self._poll)
+                event.succeed()
+
+    def _poll(self, _event) -> None:
+        self.env.timeout(self.poll_interval).callbacks.append(self._wake)
+
+    def _wake(self, _event) -> None:
+        _, item = self.endpoint.dequeue()
+        self._follow([item])
+
+    def _follow(self, taken: list) -> None:
+        """The loop's next turns, then the handlers of what was taken."""
+        endpoint = self.endpoint
+        while self.alive():
+            if not endpoint.count:
+                self._idle = True
+                break
+            if self.poll_interval is None:
+                Wake(self.env, self._wake)
+                break
+            taken.append(endpoint.dequeue()[1])
+        start = self.env.start_inline
+        for item in taken:
+            start(self.handler(item))
+
+
 class ChainTransport(abc.ABC):
     """Descriptor channel between chain members (SPROXY or RTE rings).
 
@@ -130,15 +215,18 @@ class ChainTransport(abc.ABC):
     ``metrics_map`` is the L7 map its programs fill (None: the gateway's
     EPROXY L3 map is the only source), :meth:`reregister` repairs an
     evicted registration, and :meth:`start_polling`/:meth:`teardown` run
-    and stop poll-mode cores.
+    and stop poll-mode cores; a :class:`Member` polls every ``poll_interval``
+    (None: event-driven).
     """
 
     kind: str
     metrics_map: Optional[ArrayMap] = None
+    poll_interval: Optional[float] = None
 
     @abc.abstractmethod
     def make_endpoint(self, owner_tag: str, instance_id: int) -> object:
-        """Create the per-member receive endpoint."""
+        """Create the per-member receive endpoint: a queue with ``count``,
+        ``dequeue()`` and an ``on_enqueue`` hook (see :class:`Member`)."""
 
     @abc.abstractmethod
     def send(self, sender_endpoint, descriptor, message, ops, trace, stage):
@@ -147,10 +235,6 @@ class ChainTransport(abc.ABC):
     @abc.abstractmethod
     def receive_costs(self, endpoint, ops, trace, stage):
         """Generator: receiver-side costs for one descriptor."""
-
-    @abc.abstractmethod
-    def wait_for_item(self, endpoint):
-        """Generator: block until an item is available; returns it."""
 
     def on_pod_registered(self, instance_id: int, endpoint) -> None:
         """Transport bookkeeping when a pod joins."""
@@ -224,11 +308,8 @@ class SproxyTransport(ChainTransport):
         return delivered
 
     def receive_costs(self, endpoint, ops, trace, stage):
-        yield from endpoint.receive(ops, trace, stage)
-
-    def wait_for_item(self, endpoint):
-        item = yield endpoint.inbox.get()
-        return item
+        # The receiver-side wakeup of a redirected descriptor.
+        yield ops.commit(SPROXY_RECEIVE, 0, trace, stage)
 
 
 class RingTransport(ChainTransport):
@@ -299,14 +380,6 @@ class RingTransport(ChainTransport):
             if stall > 0:
                 yield self.node.env.timeout(stall)
         yield ops.compute(self.node.config.costs.ring_dequeue)
-
-    def wait_for_item(self, endpoint):
-        while True:
-            ok, item = endpoint.dequeue()
-            if ok:
-                return item
-            yield endpoint.not_empty_event(self.node.env)
-            yield self.node.env.timeout(self.poll_interval)
 
 
 class SprightChainRuntime:
@@ -393,8 +466,11 @@ class SprightChainRuntime:
         self.transport.start_polling(
             GATEWAY_INSTANCE_ID, self.gateway.tag, params.gateway_cores
         )
-        node.env.process(
-            self._gateway_worker(), name=f"gw-{chain_name}", detached=True
+        # Responses coming back from the chain (⑧).
+        Member(
+            node.env, self.gateway_endpoint,
+            lambda: partial(self._finish_response, self.gateway.ops),
+            lambda: True, f"gw-{chain_name}", self.transport.poll_interval,
         )
         if metrics_server is not None:
             node.env.process(
@@ -429,10 +505,16 @@ class SprightChainRuntime:
                     self.security.allow(other_id, pod.instance_id)
                     self.security.allow(pod.instance_id, other_id)
         self.transport.start_polling(pod.instance_id, pod.cpu_tag, 1.0)
-        self.node.env.process(
-            self._function_worker(function_name, pod, endpoint),
-            name=f"worker-{pod.cpu_tag}#{pod.instance_id}",
-            detached=True,
+        # ② Fig 4: each descriptor is handled by its own process, so the
+        # pod's concurrency limit bounds parallelism.
+        Member(
+            self.node.env, endpoint,
+            lambda: partial(
+                self._handle_message, function_name, pod, endpoint,
+                self.node.ops(pod.cpu_tag),
+            ),
+            lambda: pod.is_servable or pod.phase.value in ("starting", "pending"),
+            f"worker-{pod.cpu_tag}#{pod.instance_id}", self.transport.poll_interval,
         )
 
     def _on_pod_gone(self, function_name: str, pod: Pod) -> None:
@@ -702,26 +784,7 @@ class SprightChainRuntime:
         if not message.done.triggered:
             message.done.succeed(None)
 
-    # -- workers -------------------------------------------------------------------
-    def _function_worker(self, function_name: str, pod: Pod, endpoint):
-        """Dispatch loop for one pod's descriptors (② Fig 4).
-
-        Each descriptor is handled in its own process so the pod's
-        concurrency limit — not the dispatch loop — bounds parallelism,
-        mirroring the event-driven invocation model.
-        """
-        ops = self.node.ops(pod.cpu_tag)
-        while pod.is_servable or pod.phase.value in ("starting", "pending"):
-            try:
-                message = yield from self.transport.wait_for_item(endpoint)
-            except Interrupt:
-                return
-            assert isinstance(message, SprightMessage)
-            self.node.env.process(
-                self._handle_message(function_name, pod, endpoint, ops, message),
-                detached=True,
-            )
-
+    # -- handlers ------------------------------------------------------------------
     def _receive(self, endpoint, ops, message, span_name, **attrs):
         """Generator: the receive checkpoint of every descriptor. Charges the
         receiver-side costs (they count toward the in-flight hop); False
@@ -778,14 +841,6 @@ class SprightChainRuntime:
 
         next_function = self._next_function(function_name, message)
         yield from self.hops[next_function](endpoint, ops, message, next_function, None)
-
-    def _gateway_worker(self):
-        """Gateway-side consumer: responses coming back from the chain (⑧)."""
-        ops = self.gateway.ops
-        while True:
-            message = yield from self.transport.wait_for_item(self.gateway_endpoint)
-            assert isinstance(message, SprightMessage)
-            self.node.env.process(self._finish_response(ops, message), detached=True)
 
     def _read_payload(self, message: SprightMessage) -> bytes:
         """Receive-side read: verify the descriptor before touching memory.

@@ -82,19 +82,25 @@ class DfrRoutingTable:
         ``Request.claimed_pods``): claimed instances are skipped so
         synchronized clones land on distinct pods, falling back to the full
         candidate list when every instance is claimed.
+
+        One pass: the first pod, in instance order, with the greatest
+        (responsive, unclaimed, residual capacity).
         """
-        pods = [pod for pod in self._instances.get(function, []) if pod.is_servable]
-        responsive = [pod for pod in pods if pod.responsive]
-        if responsive:
-            pods = responsive
-        if exclude:
-            unclaimed = [pod for pod in pods if pod.instance_id not in exclude]
-            if unclaimed:
-                pods = unclaimed
-        if not pods:
-            return None
         now = self.node.env.now
-        return max(pods, key=lambda pod: pod.residual_capacity(now))
+        best = None
+        best_tier = best_capacity = 0
+        for pod in self._instances.get(function, ()):
+            if not pod.is_servable:
+                continue
+            tier = 2 if pod.responsive else 0
+            if not exclude or pod.instance_id not in exclude:
+                tier += 1
+            if best is not None and tier < best_tier:
+                continue
+            capacity = pod.residual_capacity(now)
+            if best is None or tier > best_tier or capacity > best_capacity:
+                best, best_tier, best_capacity = pod, tier, capacity
+        return best
 
     def instance(self, instance_id: int) -> Optional[Pod]:
         return self._by_instance_id.get(instance_id)

@@ -9,7 +9,8 @@ when a descriptor flows.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from collections import deque
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ...kernel.ebpf import (
     ArrayMap,
@@ -20,9 +21,8 @@ from ...kernel.ebpf import (
     SockMap,
     programs,
 )
-from ...kernel.ops import SK_MSG_SEND, SK_MSG_SEND_DROPPED, SPROXY_RECEIVE
+from ...kernel.ops import SK_MSG_SEND, SK_MSG_SEND_DROPPED
 from ...mem import PacketDescriptor
-from ...simcore import Store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...audit import RequestTrace, Stage
@@ -47,7 +47,8 @@ class SproxySocket:
         self.sockmap = sockmap
         self.metrics_map = metrics_map
         self.hook = HookPoint(f"sk_msg@{owner_tag}", ProgramType.SK_MSG, node.vm)
-        self.inbox: Store = Store(node.env)
+        self._queue: deque = deque()  # redirected descriptors, for the owner
+        self.on_enqueue: Optional[Callable[[], None]] = None
         self.descriptors_sent = 0
         self.descriptors_dropped = 0
 
@@ -63,7 +64,16 @@ class SproxySocket:
 
     # Called from *inside the kernel* by bpf_msg_redirect_map.
     def deliver_descriptor(self, item: object) -> None:
-        self.inbox.try_put(item)
+        self._queue.append(item)
+        self.on_enqueue()
+
+    @property
+    def count(self) -> int:
+        return len(self._queue)
+
+    def dequeue(self) -> tuple[bool, Optional[object]]:
+        """As ``RteRing.dequeue``: (False, None) when empty."""
+        return (True, self._queue.popleft()) if self._queue else (False, None)
 
     def send(
         self,
@@ -75,7 +85,7 @@ class SproxySocket:
     ):
         """Send a descriptor out of this socket (generator, sender context).
 
-        ``item`` is what the target's inbox receives (the descriptor plus
+        ``item`` is what the target's receive queue gets (the descriptor plus
         side-band message state). Returns True if redirected, False if the
         SPROXY dropped it (unauthorized or unknown destination).
         """
@@ -104,7 +114,3 @@ class SproxySocket:
         endpoint.deliver_descriptor(item)
         self.descriptors_sent += 1
         return True
-
-    def receive(self, ops: "KernelOps", trace, stage):
-        """Receiver-side wakeup costs for one delivered descriptor."""
-        yield ops.commit(SPROXY_RECEIVE, 0, trace, stage)

@@ -23,13 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from ...audit import OverheadKind, RequestTrace, Stage
+from ...audit import RequestTrace, Stage
 from ...kernel import FiveTuple
 from ...kernel.ebpf import Scratch, XDP_REDIRECT, TC_ACT_REDIRECT, programs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...kernel import KernelOps
-    from ...runtime import FunctionResult, FunctionSpec, WorkerNode
+    from ...runtime import FunctionSpec, WorkerNode
 
 
 @dataclass(frozen=True)

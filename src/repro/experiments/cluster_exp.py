@@ -24,8 +24,9 @@ crossings land in the receiving node's gateway. Two questions, one sweep:
 
 :class:`ClusterRun` reads hops from the fabric, host CPU from every
 node's ledger, and NIC cores and leaked slots from the per-node engines
-and chain runtimes. The report ends with computed verdict lines; CI diffs
-the whole sanitized 3-node report against ``tests/goldens/cluster-smoke.txt``.
+and chain runtimes, once, when the cell's run ends. The report ends with
+computed verdict lines; CI diffs the whole sanitized 3-node report
+against ``tests/goldens/cluster-smoke.txt``.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from ..cluster import (
     NodeDescriptor,
     build_cluster,
 )
-from ..dataplane import Dataplane, RequestClass
+from ..dataplane import RequestClass
 from ..runtime import ChainSpec, FunctionSpec
 from ..stats import LatencyRecorder, format_table
 from .common import build_closed_loop, leaked_slots
@@ -94,16 +95,21 @@ def scheduler_capacity(nodes: int) -> float:
 
 @dataclass
 class ClusterRun:
-    """One (plane, policy, nodes) cell of the sweep."""
+    """One (plane, policy, nodes) cell of the sweep, summarised when its
+    run ended so that the plane and its pools can be collected."""
 
     plane: str
     policy: str
     nodes: int
     duration: float
     recorder: LatencyRecorder
-    dataplane: Dataplane
-    #: shared-memory buffers still live on any node after the drain
-    leaked_slots: int
+    placement: dict[str, str]  # function -> its node, in chain order
+    leaked_slots: int  # shared-memory buffers live on any node after the drain
+    hops_per_request: float  # cross-node transfers per completed request
+    host_cpu_percent: float  # the plane's tags, summed over every node (core-%)
+    nic_cores: float
+    offloaded: int  # function runs on NIC cores
+    host_serves: int  # function runs on host pods
 
     @property
     def rps(self) -> float:
@@ -112,44 +118,6 @@ class ClusterRun:
     @property
     def p99_ms(self) -> float:
         return self.recorder.summary("").p99 * 1e3
-
-    @property
-    def hops_per_request(self) -> float:
-        """Cross-node transfers per completed request."""
-        completed = self.dataplane.requests_completed
-        return self.dataplane.fabric.xnode_hops / completed if completed else 0.0
-
-    @property
-    def host_cpu_percent(self) -> float:
-        """Host CPU of the plane's tags, summed over every node (core-%)."""
-        return sum(
-            node.cpu_percent_prefix(f"{self.dataplane.plane}/", self.duration)
-            for node in self.dataplane.fabric.nodes.values()
-        )
-
-    @property
-    def nic_cores(self) -> float:
-        return sum(
-            engine.nic_cpu_cores(self.duration) for engine in _engines(self.dataplane)
-        )
-
-    @property
-    def offloaded(self) -> int:
-        """Function runs on NIC cores."""
-        return sum(engine.offloaded for engine in _engines(self.dataplane))
-
-    @property
-    def host_serves(self) -> int:
-        """Function runs on host pods."""
-        return sum(
-            pod.served
-            for deployment in self.dataplane.deployments.values()
-            for pod in deployment.pods
-        )
-
-
-def _engines(dataplane: Dataplane) -> list:
-    return list(getattr(dataplane, "engines", {}).values())
 
 
 def place_chain(
@@ -189,6 +157,8 @@ def run_cluster_case(
 
     The post-duration ``drain`` lets in-flight requests finish so the
     leaked-slot count reflects real leaks, not requests cut off mid-chain.
+    The report keeps no reference to the plane, so a sweep holds one
+    cell's nodes and pools at a time.
     """
     chain = chain_factory()
     fabric = build_cluster(nodes, seed=seed, cores=8)
@@ -201,14 +171,29 @@ def run_cluster_case(
         sanitize=sanitize,
         placement=place_chain(fabric, chain, policy, capacity),
     ).finish(drain)
+    dataplane = run.plane_obj
+    engines = list(getattr(dataplane, "engines", {}).values())
+    completed = dataplane.requests_completed
     return ClusterRun(
         plane=plane,
         policy=policy,
         nodes=nodes,
         duration=duration,
         recorder=run.recorder,
-        dataplane=run.plane_obj,
-        leaked_slots=leaked_slots(run.plane_obj),
+        placement={fn: dataplane.placement.node_of(fn) for fn in dataplane.functions},
+        leaked_slots=leaked_slots(dataplane),
+        hops_per_request=fabric.xnode_hops / completed if completed else 0.0,
+        host_cpu_percent=sum(
+            node.cpu_percent_prefix(f"{dataplane.plane}/", duration)
+            for node in fabric.nodes.values()
+        ),
+        nic_cores=sum(engine.nic_cpu_cores(duration) for engine in engines),
+        offloaded=sum(engine.offloaded for engine in engines),
+        host_serves=sum(
+            pod.served
+            for deployment in dataplane.deployments.values()
+            for pod in deployment.pods
+        ),
     )
 
 

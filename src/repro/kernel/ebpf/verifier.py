@@ -13,7 +13,6 @@ from .isa import (
     FRAME_POINTER,
     Insn,
     LOAD_SIZES,
-    NUM_REGISTERS,
     Op,
     Program,
     R0,

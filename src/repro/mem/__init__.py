@@ -16,7 +16,7 @@ from .pool import (
     PoolStats,
     SharedMemoryPool,
 )
-from .rings import PollingConsumer, RING_F_SC_DEQ, RING_F_SP_ENQ, RingError, RteRing
+from .rings import RING_F_SC_DEQ, RING_F_SP_ENQ, RingError, RteRing
 from .scavenger import ShmScavenger
 from .sanitizer import (
     PoolSanitizer,
@@ -36,7 +36,6 @@ __all__ = [
     "HUGEPAGE_SIZE",
     "IsolationError",
     "PacketDescriptor",
-    "PollingConsumer",
     "PoolError",
     "PoolRegistry",
     "PoolSanitizer",

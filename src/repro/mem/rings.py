@@ -1,20 +1,15 @@
 """DPDK-style RTE rings: the polling-based descriptor channel of D-SPRIGHT.
 
 A bounded multi-producer/multi-consumer ring. Producers enqueue without
-blocking (full ring -> drop/backpressure decision is the caller's);
-consumers either poll (`PollingConsumer`, burning a dedicated core like
-DPDK's poll-mode drivers) or block on the ring's event (used in tests).
+blocking (full ring -> drop/backpressure decision is the caller's); the
+consumer's ``on_enqueue`` hook is told of each accepted descriptor, so a
+poll-mode consumer need not simulate its empty polls.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Optional
-
-from ..simcore import Event, Store
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..simcore import CpuSet, DedicatedCore, Environment
+from typing import Callable, Optional
 
 
 class RingError(Exception):
@@ -40,7 +35,8 @@ class RteRing:
         self.dequeued = 0
         self.drops = 0
         self.forced_drops = 0
-        self._waiters: list[Event] = []
+        #: Called after each accepted enqueue (the consumer's wakeup).
+        self.on_enqueue: Optional[Callable[[], None]] = None
         # Fault injection: called with the ring name before each enqueue;
         # returning True makes the enqueue behave as if the ring were full.
         self.fault_hook: Optional[Callable[[str], bool]] = None
@@ -72,10 +68,8 @@ class RteRing:
             return False
         self._items.append(item)
         self.enqueued += 1
-        waiters, self._waiters = self._waiters, []
-        for event in waiters:
-            if not event.triggered:
-                event.succeed()
+        if self.on_enqueue is not None:
+            self.on_enqueue()
         return True
 
     def dequeue(self) -> tuple[bool, Optional[object]]:
@@ -84,90 +78,3 @@ class RteRing:
             return False, None
         self.dequeued += 1
         return True, self._items.popleft()
-
-    def dequeue_burst(self, max_items: int) -> list[object]:
-        burst: list[object] = []
-        while self._items and len(burst) < max_items:
-            burst.append(self._items.popleft())
-        self.dequeued += len(burst)
-        return burst
-
-    def not_empty_event(self, env: "Environment") -> Event:
-        """Event that fires at the next enqueue (non-DPDK, test convenience)."""
-        event = Event(env)
-        if self._items:
-            event.succeed()
-        else:
-            self._waiters.append(event)
-        return event
-
-
-class PollingConsumer:
-    """A DPDK poll-mode thread: dedicates a core and spins on rings.
-
-    The defining property reproduced here is that the core is 100% busy
-    whether or not traffic flows — exactly the D-SPRIGHT CPU floor the paper
-    measures (§3.2.2). Dequeued items are handed to ``handler`` which may be
-    a plain callable or a generator function (for handlers that do timed
-    work).
-    """
-
-    def __init__(
-        self,
-        env: "Environment",
-        cpu: "CpuSet",
-        rings: list[RteRing],
-        handler: Callable,
-        tag: str,
-        burst_size: int = 32,
-        poll_interval: float = 1e-6,
-    ) -> None:
-        self.env = env
-        self.cpu = cpu
-        self.rings = rings
-        self.handler = handler
-        self.tag = tag
-        self.burst_size = burst_size
-        self.poll_interval = poll_interval
-        self.items_processed = 0
-        self.empty_polls = 0
-        self._stopped = False
-        self.core: "DedicatedCore" = cpu.dedicate(tag=tag)
-        self.process = env.process(self._run(), name=f"poll-{tag}")
-
-    def stop(self) -> None:
-        """Release the core and end the poll loop."""
-        if self._stopped:
-            return
-        self._stopped = True
-        self.core.release()
-        if self.process.is_alive:
-            self.process.interrupt(cause="stopped")
-
-    def _run(self):
-        from ..simcore import Interrupt
-
-        # The spin burns the dedicated core unconditionally (charged by the
-        # dedication above). We do not simulate each empty iteration as an
-        # event — that would be artificial event-loop load; instead the loop
-        # sleeps on "ring became non-empty", which costs the consumer nothing
-        # and preserves the near-zero dequeue latency of poll mode.
-        while not self._stopped:
-            did_work = False
-            for ring in self.rings:
-                burst = ring.dequeue_burst(self.burst_size)
-                for item in burst:
-                    did_work = True
-                    self.items_processed += 1
-                    outcome = self.handler(item)
-                    if hasattr(outcome, "send"):  # generator handler
-                        yield self.env.process(outcome)
-            if not did_work:
-                self.empty_polls += 1
-                try:
-                    yield self.env.any_of(
-                        [ring.not_empty_event(self.env) for ring in self.rings]
-                    )
-                    yield self.env.timeout(self.poll_interval)
-                except Interrupt:
-                    return

@@ -15,7 +15,7 @@ of every flamegraph renderer.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 #: A charge's operation attribution: a single op name, or a pre-broken-down
 #: sequence of (op name, seconds) components from a kernel commit.

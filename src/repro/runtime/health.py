@@ -14,7 +14,7 @@ in for added CPU cores) grows, and shrinks again when demand fades.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from .kubelet import Deployment

@@ -9,7 +9,7 @@ pool registry, and the RNG streams.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..faults import FaultInjector

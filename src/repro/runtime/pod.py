@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Optional
 
 from ..simcore import DeliveryError, Event, Interrupt, PsServer, Resource
 from ..stats import SlidingWindowRate
-from .spec import FunctionResult, FunctionSpec
+from .spec import FunctionSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .node import WorkerNode

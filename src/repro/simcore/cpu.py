@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Optional
 
 from .environment import NORMAL
 from .events import Event
-from .resources import Store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .environment import Environment

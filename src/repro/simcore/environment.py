@@ -9,7 +9,7 @@ from typing import Optional
 
 from .errors import EmptySchedule, SimulationError, StopSimulation
 from .events import AllOf, AnyOf, Event, Timeout
-from .process import Process, ProcessGenerator
+from .process import InlineStart, Process, ProcessGenerator
 
 # Scheduling priorities: URGENT beats NORMAL at the same timestamp. URGENT is
 # used for process initialization and interrupts so they preempt same-time
@@ -70,6 +70,17 @@ class Environment:
         """
         process = Process(self, generator, name=name, detached=detached)
         return None if detached else process
+
+    def start_inline(self, generator: ProcessGenerator, name: str = "") -> None:
+        """Start a detached process and run its first step now, inline.
+
+        For a caller that runs exactly where the process's ``Initialize``
+        would be the next event processed: it would pop at ``now`` before
+        anything else runs, so running the step here instead sees the same
+        state at the same time. No event is scheduled, and the remaining
+        events keep their order (eids only break ties).
+        """
+        InlineStart(self, generator, name)
 
     def all_of(self, events) -> AllOf:
         return AllOf(self, events)

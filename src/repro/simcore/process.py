@@ -54,7 +54,11 @@ class Process(Event):
         self._target: Optional[Event] = None
         self._detached = detached
         self.name = name or getattr(generator, "__name__", "process")
-        Initialize(env, self)
+        self._start()
+
+    def _start(self) -> None:
+        """Schedule the first step: an URGENT :class:`Initialize` at ``now``."""
+        Initialize(self.env, self)
 
     @property
     def target(self) -> Optional[Event]:
@@ -133,3 +137,27 @@ class Process(Event):
                 return
             # Event was already processed: loop and feed its value directly.
             event = next_event
+
+
+#: What a first step is resumed with: an :class:`Initialize`'s outcome.
+_STARTED = Event.__new__(Event)
+_STARTED._ok, _STARTED._value = True, None
+
+
+class InlineStart(Process):
+    """A detached process whose first step runs as it is created, inside
+    the running callback, instead of from an :class:`Initialize` event
+    (:meth:`Environment.start_inline
+    <repro.simcore.Environment.start_inline>`). The process that was
+    active before is active again after that step."""
+
+    __slots__ = ()
+
+    def __init__(self, env: "Environment", generator: ProcessGenerator, name: str = "") -> None:
+        super().__init__(env, generator, name=name, detached=True)
+
+    def _start(self) -> None:
+        env = self.env
+        active = env._active_process
+        self._resume(_STARTED)
+        env._active_process = active

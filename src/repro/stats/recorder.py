@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 

@@ -12,7 +12,7 @@ The paper's three drivers map onto two shapes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from ..audit import Auditor

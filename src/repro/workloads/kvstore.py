@@ -11,7 +11,7 @@ constant.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 # Redis-grade in-memory operation costs.

@@ -1,7 +1,5 @@
 """Tests for eBPF introspection (bpftool) and result export."""
 
-import pytest
-
 from repro.kernel.ebpf import (
     ArrayMap,
     HashMap,

@@ -1,7 +1,9 @@
 """End-to-end cluster dataplane runs: hops, identity guards, λ-NIC, and
 composition with the shared Dataplane request path."""
 
+import gc
 import hashlib
+import weakref
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,7 @@ from repro.dataplane import Dataplane, NicComputeEngine, NicComputeModel
 from repro.dataplane import Request, RequestClass, ShedError
 from repro.experiments import audits, cluster_exp
 from repro.experiments.cluster_exp import run_cluster_case
-from repro.experiments.common import build_plane, make_node
+from repro.experiments.common import build_closed_loop, build_plane, make_node
 from repro.faults import FaultKind, FaultPlan, FaultSpec, ResiliencePolicy, load_plan
 from repro.recovery import AdmissionPolicy
 from repro.runtime import ChainSpec, FunctionSpec
@@ -24,6 +26,21 @@ def _small(plane, policy, nodes, **kwargs):
     return run_cluster_case(plane, policy, nodes, **kwargs)
 
 
+def _finished_case(plane, policy, nodes, duration=0.4, concurrency=8):
+    """``_small``'s run, finished, with its plane: what ``run_cluster_case``
+    builds before it summarises the run."""
+    chain = cluster_exp.mixed_chain()
+    fabric = build_cluster(nodes, seed=2022, cores=8)
+    return build_closed_loop(
+        plane,
+        list(chain.functions),
+        [RequestClass("seq", sequence=chain.function_names)],
+        concurrency=concurrency,
+        duration=duration,
+        placement=cluster_exp.place_chain(fabric, chain, policy),
+    ).finish(0.5)
+
+
 def test_every_plane_completes_with_engineered_hops_and_no_leaks():
     # chain_locality puts [f1 f2 f3] on the ingress node, [f4 f5] and [f6]
     # elsewhere: 3 boundaries on the chain walk. Knative's broker stays on
@@ -33,6 +50,24 @@ def test_every_plane_completes_with_engineered_hops_and_no_leaks():
         assert run.recorder.count("") > 0, plane
         assert run.hops_per_request == (6.0 if plane == "knative" else 3.0), plane
         assert run.leaked_slots == 0, plane
+
+
+def test_a_finished_cell_keeps_no_plane_alive(monkeypatch):
+    """A sweep holds one cell's nodes and pools at a time: the report is
+    computed when the run ends and keeps no reference to the plane."""
+    planes = []
+    inner = cluster_exp.build_closed_loop
+
+    def build_closed_loop(*args, **kwargs):
+        run = inner(*args, **kwargs)
+        planes.append(weakref.ref(run.plane_obj))
+        return run
+
+    monkeypatch.setattr(cluster_exp, "build_closed_loop", build_closed_loop)
+    run = _small("s-spright", "chain_locality", 3)
+    gc.collect()
+    assert run.recorder.count("") > 0 and run.hops_per_request == 3.0
+    assert len(planes) == 1 and planes[0]() is None
 
 
 def test_policy_hop_counts_match_placement_geometry():
@@ -51,8 +86,8 @@ def test_chain_locality_beats_spread_on_p99_for_s_spright():
 
 
 def test_cross_node_counters_land_on_the_sending_node():
-    run = _small("grpc", "spread", 3)
-    fabric = run.dataplane.fabric
+    run = _finished_case("grpc", "spread", 3)
+    fabric = run.plane_obj.fabric
     per_node_hops = sum(
         node.counters.as_dict().get("cluster/xnode_hops", 0)
         for node in fabric.nodes.values()
@@ -77,8 +112,8 @@ def test_single_node_cluster_keeps_goldens_byte_identical():
     cluster stack shares no state with the single-node pipeline — running
     it must leave the audited tables byte-identical to the golden."""
     run = _small("s-spright", "chain_locality", 1)
+    assert run.recorder.count("") > 0
     assert run.hops_per_request == 0.0
-    assert run.dataplane.fabric.xnode_hops == 0
     assert run.leaked_slots == 0
     golden = Path(__file__).parent / "goldens" / "tables.txt"
     assert audits.format_report() + "\n" == golden.read_text()
@@ -89,21 +124,21 @@ def test_single_node_cluster_keeps_goldens_byte_identical():
 
 def test_traced_multinode_run_is_byte_identical_to_untraced():
     kwargs = dict(duration=0.4, concurrency=8)
-    untraced = run_cluster_case("s-spright", "bin_pack", 3, **kwargs)
+    untraced = _finished_case("s-spright", "bin_pack", 3, **kwargs)
     obs.set_default_observe(trace=True)
     try:
-        traced = run_cluster_case("s-spright", "bin_pack", 3, **kwargs)
+        traced = _finished_case("s-spright", "bin_pack", 3, **kwargs)
     finally:
         obs.set_default_observe(trace=False)
         obs.reset_sessions()
 
     assert traced.recorder.count("") == untraced.recorder.count("")
     assert traced.recorder.summary("").p99 == untraced.recorder.summary("").p99
-    for name, node in untraced.dataplane.fabric.nodes.items():
-        twin = traced.dataplane.fabric.nodes[name]
+    for name, node in untraced.plane_obj.fabric.nodes.items():
+        twin = traced.plane_obj.fabric.nodes[name]
         assert twin.counters.as_dict() == node.counters.as_dict(), name
 
-    tracer = traced.dataplane.node.obs.tracer
+    tracer = traced.plane_obj.node.obs.tracer
     assert tracer is not None
     legs = [s for s in tracer.spans if s.name == "leg:xnode"]
     assert legs, "cross-node legs should open spans when traced"

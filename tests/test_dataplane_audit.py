@@ -14,7 +14,6 @@ from repro.dataplane import (
     Request,
     RequestClass,
     SSprightDataplane,
-    nginx_function,
 )
 from repro.runtime import FunctionSpec, WorkerNode
 

@@ -39,8 +39,6 @@ ALLOWED = {
         "veth model exercised only by tests/test_kernel_substrate.py",
     "src/repro/kernel/packet.py:Message":
         "segmentation model exercised only by tests/test_kernel_substrate.py",
-    "src/repro/mem/rings.py:PollingConsumer":
-        "poll-mode ring consumer exercised only by tests/test_mem_pool.py",
     "src/repro/obs/__init__.py:reset_sessions":
         "test isolation: clears the process-wide tracing sessions",
     "src/repro/protocols/http1.py:encode_response":
@@ -229,6 +227,9 @@ ALLOWED_METHODS = {
         "item 8: only tests use it (test_kernel_substrate)",
     "src/repro/simcore/cpu.py:CpuSet.shared_cores":
         "item 8: only tests use it (test_simcore_edge_cases, test_simcore_resources)",
+    "src/repro/simcore/cpu.py:CpuSet.dedicate":
+        "item 8: only tests use it since PollingConsumer went (test_simcore_edge_cases, "
+        "test_simcore_resources)",
     "src/repro/simcore/cpu.py:CpuSet.execute_cycles":
         "item 8: only tests use it (test_detached_guard, test_simcore_detached)",
     "src/repro/simcore/environment.py:Environment.all_of":

@@ -1,7 +1,5 @@
 """Focused tests for the Knative and gRPC baseline dataplanes."""
 
-import pytest
-
 from repro.dataplane import (
     GrpcDataplane,
     GrpcParams,

@@ -6,7 +6,6 @@ from repro.mem import (
     DescriptorError,
     IsolationError,
     PacketDescriptor,
-    PollingConsumer,
     PoolError,
     PoolRegistry,
     RingError,
@@ -14,7 +13,6 @@ from repro.mem import (
     SharedMemoryManager,
     SharedMemoryPool,
 )
-from repro.simcore import CpuSet, Environment
 
 
 # -- descriptors -----------------------------------------------------------
@@ -260,46 +258,3 @@ def test_ring_full_drops():
     assert ring.enqueue(2)
     assert not ring.enqueue(3)
     assert ring.drops == 1
-
-
-def test_ring_burst_dequeue():
-    ring = RteRing("r", size=8)
-    for value in range(5):
-        ring.enqueue(value)
-    burst = ring.dequeue_burst(3)
-    assert burst == [0, 1, 2]
-    assert ring.count == 2
-
-
-def test_polling_consumer_burns_core_and_processes_items():
-    env = Environment()
-    cpu = CpuSet(env, cores=2)
-    ring = RteRing("r", size=16)
-    seen = []
-    consumer = PollingConsumer(
-        env, cpu, [ring], handler=seen.append, tag="dpdk-fn"
-    )
-
-    def producer(env):
-        yield env.timeout(1.0)
-        ring.enqueue("x")
-        yield env.timeout(1.0)
-        ring.enqueue("y")
-
-    env.process(producer(env))
-    env.run(until=5.0)
-    consumer.stop()
-    assert seen == ["x", "y"]
-    # The dedicated core was busy for the whole 5 s regardless of traffic.
-    assert cpu.accounting.total_busy["dpdk-fn"] == pytest.approx(5.0)
-
-
-def test_polling_consumer_zero_traffic_still_full_core():
-    env = Environment()
-    cpu = CpuSet(env, cores=2)
-    ring = RteRing("r", size=16)
-    consumer = PollingConsumer(env, cpu, [ring], handler=lambda item: None, tag="idle")
-    env.run(until=10.0)
-    consumer.stop()
-    assert cpu.accounting.total_busy["idle"] == pytest.approx(10.0)
-    assert consumer.items_processed == 0

@@ -132,7 +132,6 @@ def test_observe_defaults_restored_after_run_traced(traced_run):
 
 def test_traced_run_tables_byte_identical():
     """Tracing+profiling must not change a single byte of the tables."""
-    from repro.audit import OverheadKind
     from repro.experiments.common import build_closed_loop
     from repro.workloads import boutique
 

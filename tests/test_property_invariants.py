@@ -1,11 +1,11 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.faults import ResiliencePolicy
 from repro.kernel.ebpf import ArrayMap, HashMap
-from repro.mem import PoolError, RteRing, SharedMemoryPool
+from repro.mem import RteRing, SharedMemoryPool
 from repro.simcore import CpuSet, Environment, RandomStreams, Store
 from repro.stats import percentile, summarize
 
@@ -143,8 +143,9 @@ def test_ring_fifo_property(items):
     ring = RteRing("r", size=64)
     for item in items:
         assert ring.enqueue(item)
-    out = ring.dequeue_burst(len(items))
+    out = [ring.dequeue()[1] for _ in items]
     assert out == items
+    assert ring.count == 0
 
 
 # -- maps -----------------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) on codec roundtrips and invariants."""
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.mem import PacketDescriptor

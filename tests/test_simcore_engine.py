@@ -5,7 +5,6 @@ import pytest
 from repro.simcore import (
     EmptySchedule,
     Environment,
-    Event,
     Interrupt,
     SimulationError,
 )

@@ -26,7 +26,6 @@ from repro.runtime import Autoscaler, AutoscalerPolicy, Kubelet, MetricsServer
 from repro.stats import LatencyRecorder
 from repro.traffic import (
     PLANE_PROFILES,
-    Arrival,
     CellSpec,
     DesTrafficAccountant,
     DiurnalSource,
