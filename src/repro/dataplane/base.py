@@ -158,6 +158,7 @@ class ProxyComponent:
             node.faults,
             obs=getattr(node, "obs", None),
         )
+        self.charge = self.ops.charge
         self._limiter = Resource(node.env, capacity=concurrency)
         self.traversals = 0
 
@@ -190,14 +191,12 @@ class ProxyComponent:
                 raise
         try:
             if self.path_cpu > 0:
-                yield self.cpu.execute(self.path_cpu, self.tag, op="proxy_path")
+                yield self.charge.book(self.path_cpu, "proxy_path")
         finally:
             self._limiter.release(slot)
         if self.overhead_cpu > 0:
             # Not awaited: off the critical path.
-            self.cpu.execute(
-                self.overhead_cpu, self.tag, op="proxy_overhead", detached=True
-            )
+            self.charge.book(self.overhead_cpu, "proxy_overhead", detached=True)
 
 
 class Dataplane(abc.ABC):

@@ -91,6 +91,8 @@ class SidecarPod:
         self.tag_nginx = f"{prefix}/nginx"
         self.tag_kernel = f"{prefix}/kernel"
         self.ops = KernelOps(node.env, self.cpu, node.config.costs, self.tag_kernel)
+        self.charge_sidecar = self.cpu.charge(self.tag_sidecar)
+        self.charge_nginx = self.cpu.charge(self.tag_nginx)
         self._slots = Resource(node.env, capacity=concurrency)
         self.requests_served = 0
 
@@ -107,29 +109,19 @@ class SidecarPod:
             if self.spec.has_sidecar:
                 # Inbound through the sidecar: one loopback crossing, proxy work.
                 yield from leg_localhost(self.ops, nbytes, trace, Stage.STEP_4)
-                yield self.cpu.execute(
-                    self.spec.sidecar_path / 2, self.tag_sidecar, op="sidecar_path"
-                )
+                yield self.charge_sidecar.book(self.spec.sidecar_path / 2, "sidecar_path")
 
             # NGINX serves the request.
-            yield self.cpu.execute(self.spec.nginx_path, self.tag_nginx, op="nginx_path")
-            self.cpu.execute(
-                self.spec.nginx_bg, self.tag_nginx, op="nginx_bg", detached=True
-            )
+            yield self.charge_nginx.book(self.spec.nginx_path, "nginx_path")
+            self.charge_nginx.book(self.spec.nginx_bg, "nginx_bg", detached=True)
             if self.spec.kernel_bg > 0:
-                self.cpu.execute(
-                    self.spec.kernel_bg, self.tag_kernel, op="kernel_bg", detached=True
-                )
+                self.ops.charge.book(self.spec.kernel_bg, "kernel_bg", detached=True)
 
             if self.spec.has_sidecar:
                 # Outbound back through the sidecar.
-                yield self.cpu.execute(
-                    self.spec.sidecar_path / 2, self.tag_sidecar, op="sidecar_path"
-                )
+                yield self.charge_sidecar.book(self.spec.sidecar_path / 2, "sidecar_path")
                 yield from leg_localhost(self.ops, nbytes, trace, Stage.STEP_4)
-                self.cpu.execute(
-                    self.spec.sidecar_bg, self.tag_sidecar, op="sidecar_bg", detached=True
-                )
+                self.charge_sidecar.book(self.spec.sidecar_bg, "sidecar_bg", detached=True)
 
             # Response towards the client.
             yield self.ops.serialize(nbytes, trace, None)

@@ -539,10 +539,8 @@ class SprightChainRuntime:
             span = message.request.span_begin(
                 "ebpf:eproxy", "ebpf", insns=run.insns_executed
             )
-        yield self.gateway.cpu.execute(
-            self.node.config.costs.ebpf_run(run.insns_executed),
-            self.gateway.tag,
-            op="ebpf_run",
+        yield self.gateway.charge.book(
+            self.node.config.costs.ebpf_run(run.insns_executed), "ebpf_run"
         )
         if message.request is not None:
             message.request.span_end(span)
@@ -888,9 +886,7 @@ class SprightChainRuntime:
                 )
             )
             # The scrape itself is cheap but not free.
-            self.gateway.cpu.execute(
-                5e-6, self.gateway.tag, op="metrics_scrape", detached=True
-            )
+            self.gateway.charge.book(5e-6, "metrics_scrape", detached=True)
 
     def teardown(self) -> None:
         self.transport.teardown()

@@ -14,7 +14,7 @@ from .ebpf import HookPoint, ProgramType, Vm
 from .packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..simcore import Environment, Store
+    from ..simcore import Environment
 
 
 class DeviceRegistry:
@@ -48,23 +48,20 @@ class DeviceRegistry:
 
 
 class NetDevice:
-    """Base device: a name, an ifindex, and an RX queue of frames."""
+    """Base device: a name, an ifindex and frame counters."""
 
     def __init__(self, env: "Environment", name: str, registry: DeviceRegistry) -> None:
-        from ..simcore import Store  # local import avoids a package cycle
-
         self.env = env
         self.name = name
         self.registry = registry
         self.ifindex = registry.register(self)
-        self.rx_queue: Store = Store(env)
         self.frames_received = 0
         self.frames_sent = 0
         self.frames_dropped = 0    # fault injection: lost frames
         self.frames_corrupted = 0  # fault injection: checksum discards
 
     def receive_frame(self, packet: Packet) -> None:
-        """Enqueue a frame arriving at this device."""
+        """Count a frame arriving at this device and stamp its ifindex."""
         faults = self.registry.faults
         if faults is not None and faults.active:
             if faults.drop_packet("rx", self.name):
@@ -77,7 +74,6 @@ class NetDevice:
                 return
         self.frames_received += 1
         packet.ingress_ifindex = self.ifindex
-        self.rx_queue.try_put(packet)
 
     def send_frame(self, packet: Packet) -> bool:
         faults = self.registry.faults

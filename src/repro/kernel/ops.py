@@ -150,6 +150,8 @@ class KernelOps:
         self.cpu = cpu
         self.costs = costs
         self.tag = tag
+        #: The component's CPU booking handle, resolved once.
+        self.charge = cpu.charge(tag)
         # Duck-typed FaultInjector (or None): kernel transfer legs consult
         # it so Knative/gRPC paths — which move bytes as costed bundles,
         # not frames — see the same loss process as frame-level devices.
@@ -164,8 +166,9 @@ class KernelOps:
         self._priced: dict = {}
 
     # -- internals ---------------------------------------------------------
-    def _charge(self, seconds: float, tag: Optional[str] = None, op=None) -> "Event":
-        return self.cpu.execute(seconds, tag or self.tag, op=op)
+    def _book(self, seconds: float, tag: Optional[str] = None, op=None) -> "Event":
+        charge = self.cpu.charge(tag) if tag else self.charge
+        return charge.book(seconds, op)
 
     def _count(
         self,
@@ -189,7 +192,7 @@ class KernelOps:
     ) -> "Event":
         """One data copy of ``nbytes`` (user<->kernel or kernel<->kernel)."""
         self._count(trace, stage, OverheadKind.COPY)
-        return self._charge(self.costs.copy(nbytes), tag, op="copy")
+        return self._book(self.costs.copy(nbytes), tag, op="copy")
 
     def context_switch(
         self,
@@ -198,7 +201,7 @@ class KernelOps:
         tag: Optional[str] = None,
     ) -> "Event":
         self._count(trace, stage, OverheadKind.CONTEXT_SWITCH)
-        return self._charge(self.costs.context_switch, tag, op="context_switch")
+        return self._book(self.costs.context_switch, tag, op="context_switch")
 
     def interrupt(
         self,
@@ -208,7 +211,7 @@ class KernelOps:
         tag: Optional[str] = None,
     ) -> "Event":
         self._count(trace, stage, OverheadKind.INTERRUPT, count)
-        return self._charge(self.costs.interrupt * count, tag, op="interrupt")
+        return self._book(self.costs.interrupt * count, tag, op="interrupt")
 
     def protocol_processing(
         self,
@@ -219,7 +222,7 @@ class KernelOps:
     ) -> "Event":
         """One full protocol-stack traversal (TCP/IP + checksum + iptables)."""
         self._count(trace, stage, OverheadKind.PROTOCOL_PROCESSING)
-        return self._charge(self.costs.protocol_processing(nbytes), tag, op="protocol")
+        return self._book(self.costs.protocol_processing(nbytes), tag, op="protocol")
 
     def serialize(
         self,
@@ -229,7 +232,7 @@ class KernelOps:
         tag: Optional[str] = None,
     ) -> "Event":
         self._count(trace, stage, OverheadKind.SERIALIZATION)
-        return self._charge(self.costs.serialize(nbytes), tag, op="serialize")
+        return self._book(self.costs.serialize(nbytes), tag, op="serialize")
 
     def deserialize(
         self,
@@ -239,22 +242,23 @@ class KernelOps:
         tag: Optional[str] = None,
     ) -> "Event":
         self._count(trace, stage, OverheadKind.DESERIALIZATION)
-        return self._charge(self.costs.deserialize(nbytes), tag, op="deserialize")
+        return self._book(self.costs.deserialize(nbytes), tag, op="deserialize")
 
     # -- uncounted mechanics (cost only) ---------------------------------------
     def syscall(self, tag: Optional[str] = None) -> "Event":
-        return self._charge(self.costs.syscall, tag, op="syscall")
+        return self._book(self.costs.syscall, tag, op="syscall")
 
     def nic_dma(self, tag: Optional[str] = None) -> "Event":
-        return self._charge(self.costs.nic_dma, tag, op="nic_dma")
+        return self._book(self.costs.nic_dma, tag, op="nic_dma")
 
     def compute(self, seconds: float, tag: Optional[str] = None) -> "Event":
         """Application-level computation (function service time)."""
-        return self._charge(seconds, tag, op="compute")
+        return self._book(seconds, tag, op="compute")
 
     def background(self, seconds: float, tag: Optional[str] = None) -> None:
         """CPU charged off the critical path (metrics, GC, bookkeeping)."""
-        self.cpu.execute(seconds, tag or self.tag, op="background", detached=True)
+        charge = self.cpu.charge(tag) if tag else self.charge
+        charge.book(seconds, "background", detached=True)
 
     def bundle(self) -> "OpBundle":
         """Accumulate several audited ops into one CPU charge.
@@ -289,9 +293,9 @@ class KernelOps:
         if trace is not None and stage is not None:
             for kind, count in priced[3]:
                 self._count(trace, stage, kind, count)
-        cpu = self.cpu
-        op = priced[2] if cpu.accounting.profiler is not None else "bundle"
-        return cpu.execute(priced[1], tag or self.tag, op=op)
+        charge = self.cpu.charge(tag) if tag else self.charge
+        op = priced[2] if charge.accounting.profiler is not None else "bundle"
+        return charge.book(priced[1], op)
 
 
 class OpBundle:
@@ -355,4 +359,4 @@ class OpBundle:
         ops = self.ops
         seconds, components = price(self._steps, ops.costs, 0, None)
         op = components if ops.cpu.accounting.profiler is not None else "bundle"
-        return ops._charge(seconds, tag, op=op)
+        return ops._book(seconds, tag, op=op)

@@ -1,7 +1,8 @@
 """Simulated-CPU profiler: every charged cost attributed to a stack.
 
-Hooks :class:`repro.simcore.cpu.CpuAccounting` — the single funnel all CPU
-charges pass through — and attributes each charge to a stack made of the
+Hangs off :class:`repro.simcore.cpu.CpuAccounting`, which every CPU charge
+reports to (a core booking through :class:`repro.simcore.cpu.Charge` or a
+direct ledger charge), and attributes each charge to a stack made of the
 component's CPU tag segments (plane, component, pod) plus the operation
 name supplied by the charging site (``copy``, ``context_switch``,
 ``ebpf_run``, ``service``, ...). Bundled charges carry their per-operation
@@ -30,21 +31,24 @@ class CpuProfiler:
     def __init__(self) -> None:
         self.samples: dict[tuple[str, ...], float] = {}
         self.total = 0.0
+        #: tag -> op name -> its sample key, built on the first charge.
+        self._keys: dict[str, dict[str, tuple[str, ...]]] = {}
 
     def record(self, tag: str, op: OpAttribution, seconds: float) -> None:
         if seconds <= 0:
             return
         self.total += seconds
-        frames = tuple(tag.split("/"))
+        keys = self._keys.get(tag)
+        if keys is None:
+            keys = self._keys[tag] = {}
         if op is None or isinstance(op, str):
-            self._add(frames, op or UNTYPED, seconds)
-        else:
-            for name, part in op:
-                self._add(frames, name, part)
-
-    def _add(self, frames: tuple[str, ...], op: str, seconds: float) -> None:
-        key = frames + (op,)
-        self.samples[key] = self.samples.get(key, 0.0) + seconds
+            op = ((op or UNTYPED, seconds),)
+        samples = self.samples
+        for name, part in op:
+            key = keys.get(name)
+            if key is None:
+                key = keys[name] = tuple(tag.split("/")) + (name,)
+            samples[key] = samples.get(key, 0.0) + part
 
     # -- views ---------------------------------------------------------------
     def folded(self) -> str:

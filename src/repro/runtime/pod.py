@@ -48,6 +48,7 @@ class Pod:
         self.node = node
         self.spec = spec
         self.cpu_tag = cpu_tag
+        self.charge = node.cpu.charge(cpu_tag)
         # Node-scoped so ids are reproducible regardless of what other
         # simulations ran earlier in the interpreter (satellite of ISSUE 2).
         self.instance_id = node.next_instance_id()
@@ -92,11 +93,8 @@ class Pod:
     def _startup(self):
         if self.startup_delay > 0:
             # Container creation burns CPU while the pod is useless.
-            self.node.cpu.execute(
-                self.startup_delay * self.startup_cpu_fraction,
-                self.cpu_tag,
-                op="startup",
-                detached=True,
+            self.charge.book(
+                self.startup_delay * self.startup_cpu_fraction, "startup", detached=True
             )
             yield self.node.env.timeout(self.startup_delay)
         self.phase = PodPhase.RUNNING
@@ -123,10 +121,9 @@ class Pod:
         self.phase = PodPhase.TERMINATING
         if self.termination_lag > 0:
             # The 'terminating-but-not-released' waste Fig 12 calls out.
-            self.node.cpu.execute(
+            self.charge.book(
                 self.termination_lag * self.termination_cpu_fraction,
-                self.cpu_tag,
-                op="teardown",
+                "teardown",
                 detached=True,
             )
             yield self.node.env.timeout(self.termination_lag)
@@ -215,9 +212,7 @@ class Pod:
                         self._ps.cancel(job)
                         raise
                 else:
-                    yield self.node.cpu.execute(
-                        service_time, self.cpu_tag, op="service"
-                    )
+                    yield self.charge.book(service_time, "service")
             if not self.healthy and not self.responsive:
                 # The pod crashed while this request was in flight; the
                 # work is lost and the caller sees a connection reset.
@@ -225,11 +220,8 @@ class Pod:
                     "crash", f"pod {self.cpu_tag}#{self.instance_id} crashed mid-request"
                 )
             if self.spec.runtime_overhead_bg > 0:
-                self.node.cpu.execute(
-                    self.spec.runtime_overhead_bg,
-                    self.cpu_tag,
-                    op="service_bg",
-                    detached=True,
+                self.charge.book(
+                    self.spec.runtime_overhead_bg, "service_bg", detached=True
                 )
             self.served += 1
             return result

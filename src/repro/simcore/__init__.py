@@ -30,18 +30,18 @@ from .resources import (
     StoreGet,
     StorePut,
 )
-from .cpu import CpuAccounting, CpuSet, DedicatedCore
+from .cpu import Charge, CpuAccounting, CpuSet
 from .ps import PsJob, PsServer
 from .rng import RandomStreams, derive_stream_seed
 
 __all__ = [
     "AllOf",
     "AnyOf",
+    "Charge",
     "Condition",
     "ConditionValue",
     "CpuAccounting",
     "CpuSet",
-    "DedicatedCore",
     "DeliveryError",
     "EmptySchedule",
     "Environment",

@@ -1,13 +1,12 @@
 """Multi-core CPU model with per-component busy-time accounting.
 
-Two execution styles, matching the paper's dichotomy:
-
-* **Event-driven** components submit work quanta via :meth:`CpuSet.execute`;
-  they consume CPU only while work is queued (load-proportional usage, like
-  SPROXY/EPROXY).
-* **Polling** components (DPDK poll-mode threads) pin a whole core via
-  :meth:`CpuSet.dedicate`; the core is 100% busy from acquisition to release
-  regardless of traffic (like D-SPRIGHT's RTE ring consumers).
+Components are event-driven, as the paper's SPROXY/EPROXY are: they use
+CPU only while work is queued, so usage is proportional to load. A
+component books its work through a :class:`Charge`, the handle for one
+(core set, tag) that :meth:`CpuSet.charge` resolves once, when the
+component is wired; :meth:`CpuSet.execute` resolves one per call for
+ad-hoc callers. D-SPRIGHT's spinning cores charge the ledger directly
+(:meth:`CpuAccounting.record`), without booking a core.
 
 Busy time is tagged with a component label so experiments can report CPU%
 broken down by gateway / functions / queue proxies, as Figs 5, 10, 11, 12 do.
@@ -26,6 +25,28 @@ from .events import Event
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .environment import Environment
 
+_new_event = object.__new__
+
+
+def _slice(buckets: dict, width: float, start: float, duration: float) -> None:
+    """Add ``duration`` seconds from ``start`` on to ``buckets``, one slice
+    per bucket it spans."""
+    remaining = duration
+    cursor = start
+    while remaining > 1e-15:
+        index = int(cursor / width)
+        bucket_end = (index + 1) * width
+        if bucket_end <= cursor:
+            # cursor / width rounded down although cursor sits on a
+            # boundary (width 0.1, cursor 4.3 gives bucket 42 ending at
+            # 4.3): take the next bucket, or the slice is empty forever.
+            index += 1
+            bucket_end = (index + 1) * width
+        slice_len = min(remaining, bucket_end - cursor)
+        buckets[index] += slice_len
+        cursor += slice_len
+        remaining -= slice_len
+
 
 class CpuAccounting:
     """Accumulates tagged busy time, bucketed into a time series."""
@@ -43,7 +64,8 @@ class CpuAccounting:
         self.profiler = None
 
     def record(self, tag: str, start: float, duration: float, op=None) -> None:
-        """Attribute ``duration`` seconds of busy time starting at ``start``.
+        """Attribute ``duration`` seconds of busy time starting at ``start``,
+        with no core booked (a spinning poller, a processor-sharing queue).
 
         ``op`` names the operation (or carries a charge's per-operation
         breakdown) for the profiler; it never affects the ledger itself.
@@ -55,27 +77,7 @@ class CpuAccounting:
         if self.profiler is not None:
             self.profiler.record(tag, op, duration)
         self.total_busy[tag] += duration
-        width = self.bucket_width
-        index = int(start / width)
-        if duration > 1e-15 and duration <= (index + 1) * width - start:
-            # The loop below, when its first slice is the whole duration.
-            self._buckets[tag][index] += duration
-            return
-        remaining = duration
-        cursor = start
-        while remaining > 1e-15:
-            index = int(cursor / width)
-            bucket_end = (index + 1) * width
-            if bucket_end <= cursor:
-                # cursor / width rounded down although cursor sits on a
-                # boundary (width 0.1, cursor 4.3 gives bucket 42 ending at
-                # 4.3): take the next bucket, or the slice is empty forever.
-                index += 1
-                bucket_end = (index + 1) * width
-            slice_len = min(remaining, bucket_end - cursor)
-            self._buckets[tag][index] += slice_len
-            cursor += slice_len
-            remaining -= slice_len
+        _slice(self._buckets[tag], self.bucket_width, start, duration)
 
     def usage_percent(self, tag: str, bucket_index: int) -> float:
         """CPU usage (%) of ``tag`` during one bucket (100 == one full core)."""
@@ -103,62 +105,108 @@ class _Core:
     """One core as a FCFS calendar queue.
 
     Instead of a core process pulling work items off a store (four event-loop
-    rounds per item), the core tracks when it next becomes free:
-    :meth:`CpuSet.execute` starts a booked item at ``max(now, next_free)``
-    and records its busy interval immediately, and schedules a completion
-    event only if someone waits for it. Semantically identical FCFS
-    behaviour at a fraction of the event count.
+    rounds per item), the core tracks when it next becomes free: a booking
+    starts at ``max(now, next_free)``, records its busy interval at once,
+    and schedules a completion event only if someone waits for it.
+    Semantically identical FCFS behaviour at a fraction of the event count.
     """
 
-    __slots__ = ("env", "index", "next_free", "dedicated_tag")
+    __slots__ = ("index", "next_free")
 
-    def __init__(self, env: "Environment", index: int) -> None:
-        self.env = env
+    def __init__(self, index: int) -> None:
         self.index = index
         self.next_free = 0.0
-        self.dedicated_tag: Optional[str] = None
-
-    @property
-    def backlog(self) -> float:
-        """Seconds of queued work ahead of a new submission."""
-        return max(0.0, self.next_free - self.env.now)
 
 
-class DedicatedCore:
-    """Handle for a core pinned by a polling component."""
+class Charge:
+    """One tag's bookings on one core set (:meth:`CpuSet.charge`).
 
-    def __init__(self, cpuset: "CpuSet", core: _Core, tag: str) -> None:
-        self._cpuset = cpuset
-        self._core = core
+    Everything a booking needs is resolved here, once: the cores, the
+    bucket width, and the tag's ledger cells (its ``total_busy`` entry and
+    bucket series), which every core set reporting into the same
+    :class:`CpuAccounting` shares.
+    """
+
+    __slots__ = (
+        "env", "queue", "eids", "cores", "tag", "accounting", "total_busy", "buckets", "width"
+    )
+
+    def __init__(self, cpuset: "CpuSet", tag: str) -> None:
+        accounting = cpuset.accounting
+        env = cpuset.env
+        self.env = env
+        self.queue = env._queue
+        self.eids = env._eid
+        self.cores = cpuset._cores
         self.tag = tag
-        self.acquired_at = cpuset.env.now
-        self._released = False
+        self.accounting = accounting
+        self.total_busy = accounting.total_busy
+        self.buckets = accounting._buckets[tag]
+        self.width = accounting.bucket_width
 
-    @property
-    def released(self) -> bool:
-        return self._released
+    def book(self, duration: float, op=None, detached: bool = False) -> Optional[Event]:
+        """Submit ``duration`` seconds of work; returns its completion event.
 
-    def release(self) -> None:
-        """Return the core to the shared pool, charging the busy interval."""
-        if self._released:
-            return
-        self._released = True
-        now = self._cpuset.env.now
-        self._cpuset.accounting.record(
-            self.tag, self.acquired_at, now - self.acquired_at, op="poll_dedicated"
-        )
-        self._core.dedicated_tag = None
-        self._cpuset._shared.append(self._core)
+        Work goes to the first idle core, else to the least-backlogged one,
+        approximating the kernel scheduler spreading runnable threads.
+        ``op`` is an optional operation attribution for the CPU profiler
+        (ignored when off).
 
-    def checkpoint(self) -> None:
-        """Flush busy time accumulated so far (for mid-run sampling)."""
-        if self._released:
-            return
-        now = self._cpuset.env.now
-        self._cpuset.accounting.record(
-            self.tag, self.acquired_at, now - self.acquired_at, op="poll_dedicated"
-        )
-        self.acquired_at = now
+        ``detached=True`` is for work nobody waits on (background and
+        off-critical-path charges): the core calendar and the ledger are
+        booked exactly as for awaited work, but no completion event is
+        created or scheduled, and ``None`` is returned.
+        """
+        env = self.env
+        if duration <= 0:
+            if duration < 0:
+                raise ValueError("duration must be non-negative")
+            if detached:
+                return None
+            done = Event(env)
+            done.succeed()
+            return done
+        now = env._now
+        chosen = None
+        best = math.inf
+        for core in self.cores:
+            free_in = core.next_free - now
+            if free_in <= 0:
+                chosen = core
+                break
+            if free_in < best:
+                best = free_in
+                chosen = core
+        # FCFS after whatever the core already holds.
+        start = chosen.next_free
+        if start < now:
+            start = now
+        end = start + duration
+        chosen.next_free = end
+        tag = self.tag
+        profiler = self.accounting.profiler
+        if profiler is not None:
+            profiler.record(tag, op, duration)
+        self.total_busy[tag] += duration
+        width = self.width
+        index = int(start / width)
+        if duration > 1e-15 and duration <= (index + 1) * width - start:
+            # _slice, when its first slice is the whole duration.
+            self.buckets[index] += duration
+        else:
+            _slice(self.buckets, width, start, duration)
+        if detached:
+            return None
+        # Event(env) with its value set, without the __init__ call.
+        done = _new_event(Event)
+        done.env = env
+        done.callbacks = []
+        done._value = None
+        done._ok = True
+        done._defused = False
+        # env.schedule(done, delay=end - now), inlined.
+        heappush(self.queue, (now + (end - now), NORMAL, next(self.eids), done))
+        return done
 
 
 class CpuSet:
@@ -179,72 +227,29 @@ class CpuSet:
         self.env = env
         self.freq_hz = freq_hz
         self.accounting = accounting if accounting is not None else CpuAccounting(bucket_width)
-        self._cores = [_Core(env, index) for index in range(cores)]
-        self._shared = list(self._cores)
+        self._cores = [_Core(index) for index in range(cores)]
+        self._charges: dict[str, Charge] = {}
 
     @property
     def total_cores(self) -> int:
         return len(self._cores)
 
-    @property
-    def shared_cores(self) -> int:
-        return len(self._shared)
-
     def cycles_to_seconds(self, cycles: float) -> float:
         return cycles / self.freq_hz
+
+    def charge(self, tag: str) -> Charge:
+        """The booking handle for ``tag`` on these cores (one per tag)."""
+        charge = self._charges.get(tag)
+        if charge is None:
+            charge = self._charges[tag] = Charge(self, tag)
+        return charge
 
     def execute(
         self, duration: float, tag: str, op=None, detached: bool = False
     ) -> Optional[Event]:
-        """Submit ``duration`` seconds of work; returns its completion event.
-
-        Work goes to the least-backlogged shared core, approximating the
-        kernel scheduler spreading runnable threads. ``op`` is an optional
-        operation attribution for the CPU profiler (ignored when off).
-
-        ``detached=True`` is for work nobody waits on (background and
-        off-critical-path charges): the core calendar and the ledger are
-        booked exactly as for awaited work, but no completion event is
-        created or scheduled, and ``None`` is returned.
-        """
-        if duration < 0:
-            raise ValueError("duration must be non-negative")
-        env = self.env
-        if duration == 0:
-            if detached:
-                return None
-            done = Event(env)
-            done.succeed()
-            return done
-        shared = self._shared
-        if not shared:
-            raise RuntimeError("all cores are dedicated; no shared core available")
-        # Least-loaded dispatch; fast path grabs the first idle core.
-        now = env._now
-        chosen = None
-        best = None
-        for core in shared:
-            free_in = core.next_free - now
-            if free_in <= 0:
-                chosen = core
-                break
-            if best is None or free_in < best:
-                best = free_in
-                chosen = core
-        # Book the chosen core: FCFS after whatever it already holds.
-        start = chosen.next_free
-        if start < now:
-            start = now
-        end = start + duration
-        chosen.next_free = end
-        self.accounting.record(tag, start, duration, op=op)
-        if detached:
-            return None
-        done = Event(env)
-        done._value = None
-        # env.schedule(done, delay=end - now), inlined.
-        heappush(env._queue, (now + (end - now), NORMAL, next(env._eid), done))
-        return done
+        """:meth:`Charge.book` through ``tag``'s handle, for ad-hoc callers;
+        a component resolves its handle once instead."""
+        return self.charge(tag).book(duration, op, detached)
 
     def execute_cycles(
         self, cycles: float, tag: str, op=None, detached: bool = False
@@ -252,13 +257,3 @@ class CpuSet:
         return self.execute(
             self.cycles_to_seconds(cycles), tag, op=op, detached=detached
         )
-
-    def dedicate(self, tag: str) -> DedicatedCore:
-        """Pin an idle shared core for a poll-mode component."""
-        if not self._shared:
-            raise RuntimeError("no shared core left to dedicate")
-        # Prefer an idle core so we do not strand queued work.
-        core = min(self._shared, key=lambda candidate: candidate.backlog)
-        self._shared.remove(core)
-        core.dedicated_tag = tag
-        return DedicatedCore(self, core, tag)

@@ -22,7 +22,7 @@ class Initialize(Event):
         super().__init__(env)
         self._ok = True
         self._value = None
-        self.callbacks = [process._resume]
+        self.callbacks = [process._resumer]
         env.schedule(self, priority=0)
 
 
@@ -38,7 +38,7 @@ class Process(Event):
     escapes its generator propagates out of ``run()`` at once instead.
     """
 
-    __slots__ = ("_generator", "_target", "_detached", "name")
+    __slots__ = ("_generator", "_target", "_detached", "name", "_resumer")
 
     def __init__(
         self,
@@ -54,6 +54,8 @@ class Process(Event):
         self._target: Optional[Event] = None
         self._detached = detached
         self.name = name or getattr(generator, "__name__", "process")
+        #: ``_resume`` bound once: the callback every wait appends.
+        self._resumer = self._resume
         self._start()
 
     def _start(self) -> None:
@@ -83,10 +85,10 @@ class Process(Event):
         interrupt_event._defused = True
         if self._target is not None and self._target.callbacks is not None:
             try:
-                self._target.callbacks.remove(self._resume)
+                self._target.callbacks.remove(self._resumer)
             except ValueError:
                 pass
-        interrupt_event.callbacks = [self._resume]
+        interrupt_event.callbacks = [self._resumer]
         self.env.schedule(interrupt_event, priority=0)
 
     def _resume(self, event: Event) -> None:
@@ -105,6 +107,8 @@ class Process(Event):
                     next_event = self._generator.throw(exc)
             except StopIteration as stop:
                 env._active_process = None
+                # Nothing resumes it again: drop the self-reference.
+                self._resumer = None
                 self._ok = True
                 self._value = stop.value
                 if not self._detached:
@@ -112,6 +116,7 @@ class Process(Event):
                 return
             except BaseException as error:
                 env._active_process = None
+                self._resumer = None
                 self._ok = False
                 self._value = error
                 if self._detached:
@@ -131,7 +136,7 @@ class Process(Event):
 
             if next_event.callbacks is not None:
                 # Event is still pending/triggered: wait for it.
-                next_event.callbacks.append(self._resume)
+                next_event.callbacks.append(self._resumer)
                 self._target = next_event
                 env._active_process = None
                 return

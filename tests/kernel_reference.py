@@ -8,6 +8,8 @@ operation and accumulates its cost, the bucket-slicing loop of
 separate call and ``env.schedule``. :data:`REFERENCE_SHAPES` replays each
 recipe as the sequence of bundle calls its call site used to make, so
 ``KernelOps.commit`` and these functions can be compared charge for charge.
+:class:`ReferenceProfiler` is the CPU profiler before its sample keys were
+memoized.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.audit import OverheadKind
+from repro.obs.profiler import UNTYPED, CpuProfiler
 from repro.simcore import Event
 
 
@@ -48,6 +51,26 @@ def reference_record(accounting, tag: str, start: float, duration: float, op=Non
         remaining -= slice_len
 
 
+class ReferenceProfiler(CpuProfiler):
+    """``CpuProfiler.record`` building each sample key from the split tag,
+    one key per component, on every charge."""
+
+    def record(self, tag: str, op, seconds: float) -> None:
+        if seconds <= 0:
+            return
+        self.total += seconds
+        frames = tuple(tag.split("/"))
+        if op is None or isinstance(op, str):
+            self._add(frames, op or UNTYPED, seconds)
+        else:
+            for name, part in op:
+                self._add(frames, name, part)
+
+    def _add(self, frames: tuple, op: str, seconds: float) -> None:
+        key = frames + (op,)
+        self.samples[key] = self.samples.get(key, 0.0) + seconds
+
+
 def _book(core, accounting, now: float, duration: float, tag: str, op=None) -> float:
     """The old ``_Core.book``: queue work, record it, return its end."""
     start = now if core.next_free < now else core.next_free
@@ -70,7 +93,7 @@ def reference_execute(
         done = Event(env)
         done.succeed()
         return done
-    shared = cpuset._shared
+    shared = cpuset._cores
     if not shared:
         raise RuntimeError("all cores are dedicated; no shared core available")
     now = env.now

@@ -71,6 +71,9 @@ ALLOWED = {
         "trace helper covered by tests/test_traffic.py",
     "src/repro/traffic/economics.py:DesTrafficAccountant":
         "DES-side economics accountant covered by tests/test_traffic.py",
+    "src/repro/simcore/resources.py:Store":
+        "the old SPRIGHT delivery queue, kept as tests/spright_reference.py's oracle; "
+        "simcore tests",
 }
 
 #: "path:Class.method" -> why it stays although nothing in SCANNED uses it.
@@ -219,17 +222,8 @@ ALLOWED_METHODS = {
         "item 8: only tests use it (test_runtime)",
     "src/repro/simcore/cpu.py:CpuAccounting.series":
         "item 8: only tests use it (test_simcore_detached)",
-    "src/repro/simcore/cpu.py:DedicatedCore.released":
-        "item 8: only tests use it (test_cloning)",
-    "src/repro/simcore/cpu.py:DedicatedCore.checkpoint":
-        "item 8: only tests use it (test_simcore_resources)",
     "src/repro/simcore/cpu.py:CpuSet.total_cores":
         "item 8: only tests use it (test_kernel_substrate)",
-    "src/repro/simcore/cpu.py:CpuSet.shared_cores":
-        "item 8: only tests use it (test_simcore_edge_cases, test_simcore_resources)",
-    "src/repro/simcore/cpu.py:CpuSet.dedicate":
-        "item 8: only tests use it since PollingConsumer went (test_simcore_edge_cases, "
-        "test_simcore_resources)",
     "src/repro/simcore/cpu.py:CpuSet.execute_cycles":
         "item 8: only tests use it (test_detached_guard, test_simcore_detached)",
     "src/repro/simcore/environment.py:Environment.all_of":
@@ -238,6 +232,8 @@ ALLOWED_METHODS = {
         "item 8: only tests use it (test_property_invariants, test_simcore_edge_cases, ...)",
     "src/repro/simcore/events.py:ConditionValue.todict":
         "item 8: only tests use it (test_simcore_edge_cases, test_simcore_engine)",
+    "src/repro/simcore/resources.py:Store.try_put":
+        "item 8: only tests use it (spright_reference, test_simcore_resources)",
     "src/repro/simcore/resources.py:Store.try_get":
         "item 8: only tests use it (test_simcore_resources)",
     "src/repro/stats/recorder.py:LatencyRecorder.cdf":

@@ -7,9 +7,11 @@ must pass ``detached=True``, which books the same CPU time (or runs the
 same process) without that event.
 
 The check is syntactic (stdlib ``ast``): an expression statement whose
-value is a call to ``<cpu>.execute(...)`` / ``<cpu>.execute_cycles(...)``
-(the receiver's name contains ``cpu``) or ``<env>.process(...)`` (the
-receiver's name is ``env``) must pass ``detached=True``.
+value is a call to ``<charge>.book(...)`` (a :class:`~repro.simcore.Charge`
+handle's booking, which every CPU charge goes through), to
+``<cpu>.execute(...)`` / ``<cpu>.execute_cycles(...)`` (the receiver's
+name contains ``cpu``) or to ``<env>.process(...)`` (the receiver's name
+is ``env``) must pass ``detached=True``.
 
 A concurrency slot is the same case: a free slot granted at once needs no
 ``ResourceRequest`` event. So every ``<resource>.request()`` must sit in
@@ -38,6 +40,8 @@ def _needs_detached(call: ast.Call) -> bool:
     if not isinstance(func, ast.Attribute):
         return False
     receiver = _receiver_name(func.value)
+    if func.attr == "book":
+        return True
     if func.attr in ("execute", "execute_cycles"):
         return "cpu" in receiver.lower()
     if func.attr == "process":
@@ -86,11 +90,17 @@ def test_guard_flags_what_it_should():
         "    yield self.cpu.execute(1e-6, 'tag')\n"
         "    done = env.process(g())\n"
         "    controller.execute(request)\n"
+        "    self.charge.book(1e-6, 'op')\n"
+        "    self.ops.charge.book(1e-6, 'op', detached=True)\n"
+        "    yield self.charge_nginx.book(1e-6, 'op')\n"
+        "    cpu.charge('tag').book(1e-6)\n"
     )
     assert [entry.split()[0] for entry in discarded_undetached(source)] == [
         "<src>:2",
         "<src>:3",
         "<src>:4",
+        "<src>:10",
+        "<src>:13",
     ]
 
 

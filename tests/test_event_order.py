@@ -19,8 +19,10 @@ of the fold and only counted, as are events with no callback.
 Eliding a resume changes that fold by construction, so the proof is a
 second fold over what the simulated system does: every CPU booking, in call
 order, as (now, tag, duration, core index), and every request completion
-(``BOOKING_DIGESTS``). It is built by wrapping ``CpuSet.execute`` and the
-recorder here; no flag in ``src/`` serves it.
+(``BOOKING_DIGESTS``). It is built by wrapping :meth:`Charge.book
+<repro.simcore.Charge.book>`, the one booking function every CPU charge
+goes through (``CpuSet.execute`` included), and the recorder here; no
+flag in ``src/`` serves it.
 
 ``BOOKING_DIGESTS``, ``PARENT_STORE_GETS`` and ``PARENT_INITIALIZES`` were
 captured at commit 369c040, before direct delivery; the booking digests
@@ -49,7 +51,7 @@ from repro.experiments.boutique_exp import build_boutique
 from repro.experiments.recovery_exp import default_recovery_policy
 from repro.faults import NAMED_PLANS, default_resilience_for_plane
 from repro.obs import set_default_observe
-from repro.simcore import CpuSet, Environment, Process, Resource, ResourceRequest, StoreGet
+from repro.simcore import Charge, Environment, Process, Resource, ResourceRequest, StoreGet
 from repro.simcore.process import Initialize
 
 #: name -> (plane, users, load seconds, chaos)
@@ -187,7 +189,7 @@ def event_stream(name: str, monkeypatch) -> dict:
     )
     inner_step = env.step
     inner_grant_now = Resource.grant_now
-    inner_execute = CpuSet.execute
+    inner_book = Charge.book
     inner_start_inline = Environment.start_inline
     inner_record = recorder.record
 
@@ -197,15 +199,15 @@ def event_stream(name: str, monkeypatch) -> dict:
             counts["grants"] += 1
         return slot
 
-    def execute(cpuset, duration, tag, op=None, detached=False):
-        shared = cpuset._shared
-        before = [core.next_free for core in shared]
-        result = inner_execute(cpuset, duration, tag, op=op, detached=detached)
+    def book(charge, duration, op=None, detached=False):
+        cores = charge.cores
+        before = [core.next_free for core in cores]
+        result = inner_book(charge, duration, op, detached)
         # The booked core is the one whose calendar moved (-1: nothing booked).
         index = next(
-            (i for i, core in enumerate(shared) if core.next_free is not before[i]), -1
+            (i for i, core in enumerate(cores) if core.next_free is not before[i]), -1
         )
-        booking.update(f"{env.now!r}|{tag}|{duration!r}|{index}\n".encode())
+        booking.update(f"{env.now!r}|{charge.tag}|{duration!r}|{index}\n".encode())
         return result
 
     def start_inline(environment, generator, name=""):
@@ -237,7 +239,7 @@ def event_stream(name: str, monkeypatch) -> dict:
         inner_step()
 
     monkeypatch.setattr(Resource, "grant_now", grant_now)
-    monkeypatch.setattr(CpuSet, "execute", execute)
+    monkeypatch.setattr(Charge, "book", book)
     monkeypatch.setattr(Environment, "start_inline", start_inline)
     recorder.record = record
     env.step = step

@@ -19,10 +19,11 @@ from hypothesis import strategies as st
 from repro.audit import RequestTrace, Stage
 from repro.kernel import CostModel, KernelOps
 from repro.kernel import ops as kernel_ops
-from repro.obs import Observability
+from repro.obs import CpuProfiler, Observability
 from repro.simcore import CpuAccounting, CpuSet, Environment
 from tests.kernel_reference import (
     REFERENCE_SHAPES,
+    ReferenceProfiler,
     reference_charge,
     reference_execute,
     reference_record,
@@ -42,9 +43,12 @@ CHARGES = st.lists(
 
 def _ledger(accounting: CpuAccounting) -> tuple:
     busy = {tag: seconds.hex() for tag, seconds in accounting.total_busy.items()}
+    # An empty series, as resolving a charge handle or reading a tag's
+    # usage leaves, reads as zero everywhere, the same as no series.
     buckets = {
         tag: {index: seconds.hex() for index, seconds in series.items()}
         for tag, series in accounting._buckets.items()
+        if series
     }
     return busy, buckets
 
@@ -178,43 +182,84 @@ def test_record_matches_the_slicing_loop(width, data):
 DURATIONS = st.one_of(
     st.floats(0.0, 2.0, allow_nan=False), st.sampled_from([0.0, 1e-16, 0.25, 0.5])
 )
+#: Two tags that share their first segment and their op names, so a profiler
+#: key that left out the tag (or part of it) would merge their samples.
+BOOKING_TAGS = ("kn/gw/broker", "kn/fn/a")
+#: A charge's profiler attribution: none, an op name, or a recipe's
+#: per-operation breakdown.
+BOOKING_OPS = st.one_of(
+    st.none(),
+    st.sampled_from(["compute", "copy", ""]),
+    st.lists(
+        st.tuples(st.sampled_from(["copy", "interrupt", "compute"]), DURATIONS),
+        min_size=1,
+        max_size=4,
+    ).map(tuple),
+)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
-    cores=st.integers(1, 3),
+    cores=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+    width=st.sampled_from([0.1, 0.5, 1.0]),
+    profile=st.booleans(),
     charges=st.lists(
         st.tuples(
             st.one_of(st.just(0.0), st.floats(0.0, 1.0, allow_nan=False)),
             DURATIONS,
             st.booleans(),
-            st.sampled_from(["a", "b"]),
+            st.sampled_from(BOOKING_TAGS),
+            st.integers(0, 1),
+            BOOKING_OPS,
+            st.booleans(),
         ),
         min_size=1,
-        max_size=12,
+        max_size=16,
     ),
 )
-def test_execute_matches_the_reference_booking(cores, charges):
+def test_execute_matches_the_reference_booking(cores, width, profile, charges):
+    """Handles resolved at wiring and ``CpuSet.execute`` against the old
+    booking loop and the unmemoized profiler, on two core sets that report
+    into one ledger."""
     results = []
-    for execute in (CpuSet.execute, reference_execute):
+    for side in ("fast", "reference"):
         env = Environment()
-        cpu = CpuSet(env, cores=cores, bucket_width=0.5)
+        accounting = CpuAccounting(width)
+        if profile:
+            accounting.profiler = CpuProfiler() if side == "fast" else ReferenceProfiler()
+        cpus = [CpuSet(env, cores=count, accounting=accounting) for count in cores]
+        handles = {
+            (which, tag): cpus[which].charge(tag) for which in (0, 1) for tag in BOOKING_TAGS
+        }
         completions = []
-        for advance, duration, detached, tag in charges:
+        for advance, duration, detached, tag, which, op, via_handle in charges:
             if advance > 0:
                 env.run(until=env.now + advance)
-            done = execute(cpu, duration, tag, op="compute", detached=detached)
+            if side == "reference":
+                done = reference_execute(cpus[which], duration, tag, op=op, detached=detached)
+            elif via_handle:
+                done = handles[which, tag].book(duration, op, detached=detached)
+            else:
+                done = cpus[which].execute(duration, tag, op=op, detached=detached)
             if done is not None:
                 completions.extend(
                     (when.hex(), eid) for when, _, eid, event in env._queue if event is done
                 )
         env.run()
+        profiler = accounting.profiler
         results.append(
             (
-                [core.next_free.hex() for core in cpu._cores],
-                _ledger(cpu.accounting),
+                [[core.next_free.hex() for core in cpu._cores] for cpu in cpus],
+                _ledger(accounting),
                 completions,
                 env.now.hex(),
+                None
+                if profiler is None
+                else (
+                    profiler.total.hex(),
+                    # A list: the order keys were first added in counts.
+                    [(key, seconds.hex()) for key, seconds in profiler.samples.items()],
+                ),
             )
         )
     assert results[0] == results[1]

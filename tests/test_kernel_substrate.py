@@ -1,5 +1,7 @@
 """Tests for the kernel substrate: costs, iptables, FIB, devices, packets."""
 
+import weakref
+
 import pytest
 
 from repro.kernel import (
@@ -181,6 +183,19 @@ def test_veth_send_appears_on_peer():
     pair.pod_side.send_frame(packet)
     assert pair.host_side.frames_received == 1
     assert packet.ingress_ifindex == pair.host_side.ifindex
+
+
+def test_veth_keeps_no_received_frame_alive():
+    env = Environment()
+    registry = DeviceRegistry()
+    pair = VethPair(env, registry, Vm(), pod_name="fn-1")
+    packet = Packet(flow=FiveTuple("a", "b", 1, 2), payload=b"data")
+    sent = weakref.ref(packet)
+    pair.pod_side.send_frame(packet)
+    del packet
+    env.run()
+    assert pair.host_side.frames_received == 1
+    assert sent() is None
 
 
 def test_host_side_veth_has_tc_hook_pod_side_does_not():

@@ -184,29 +184,6 @@ def test_resource_context_manager_releases():
     assert times == [1, 2]
 
 
-def test_dedicate_prefers_idle_core_and_release_restores_pool():
-    env = Environment()
-    cpu = CpuSet(env, cores=2)
-
-    def busy(env):
-        yield cpu.execute(10.0, "busy")
-
-    env.process(busy(env))
-    handle = cpu.dedicate(tag="poll")
-    assert cpu.shared_cores == 1
-
-    def later(env):
-        yield env.timeout(2)
-        handle.release()
-
-    env.process(later(env))
-    env.run(until=3.0)
-    assert cpu.shared_cores == 2
-    assert cpu.accounting.total_busy["poll"] == pytest.approx(2.0)
-    handle.release()  # double release is a no-op
-    assert cpu.accounting.total_busy["poll"] == pytest.approx(2.0)
-
-
 def test_cpu_zero_duration_completes_immediately():
     env = Environment()
     cpu = CpuSet(env, cores=1)

@@ -403,39 +403,6 @@ def test_cpu_two_cores_run_in_parallel():
     assert [time for _, time in completions] == [1.0, 1.0]
 
 
-def test_dedicated_core_charges_wall_time():
-    env = Environment()
-    cpu = CpuSet(env, cores=2)
-    handle = cpu.dedicate(tag="dpdk")
-    assert cpu.shared_cores == 1
-
-    def later(env):
-        yield env.timeout(10)
-        handle.release()
-
-    env.process(later(env))
-    env.run()
-    assert cpu.accounting.total_busy["dpdk"] == pytest.approx(10.0)
-    assert cpu.shared_cores == 2
-
-
-def test_dedicated_core_checkpoint_flushes_partial_time():
-    env = Environment()
-    cpu = CpuSet(env, cores=1)
-    # With the only core dedicated, execute() must fail.
-    handle = cpu.dedicate(tag="poll")
-
-    def sampler(env):
-        yield env.timeout(3)
-        handle.checkpoint()
-
-    env.process(sampler(env))
-    env.run()
-    assert cpu.accounting.total_busy["poll"] == pytest.approx(3.0)
-    with pytest.raises(RuntimeError):
-        cpu.execute(0.1, tag="x")
-
-
 def test_cpu_bucket_splitting_across_boundaries():
     env = Environment()
     cpu = CpuSet(env, cores=1, bucket_width=1.0)
