@@ -457,6 +457,8 @@ class SprightChainRuntime:
             f"tc@gw-{chain_name}", ProgramType.TC, node.vm
         )
         self.eproxy_hook.attach(programs.eproxy_l3_metrics(self.l3_metrics.fd))
+        # The metric program's helpers write nothing to it: one serves every fire.
+        self._eproxy_scratch = Scratch(node.map_registry)
 
         self.routing = DfrRoutingTable(node, chain_name)
         self.hops: dict[str, object] = {RESPONSE: self._respond}
@@ -531,8 +533,7 @@ class SprightChainRuntime:
         """
         # EPROXY L3 metrics fire on the gateway's veth RX.
         run = self.eproxy_hook.fire(
-            data=programs.encode_packet_ctx(message.handle.size, 1),
-            scratch=Scratch(map_registry=self.node.map_registry),
+            programs.encode_packet_ctx(message.handle.size, 1), self._eproxy_scratch
         )
         span = None
         if message.request is not None:

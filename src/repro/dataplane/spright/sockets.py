@@ -47,6 +47,7 @@ class SproxySocket:
         self.sockmap = sockmap
         self.metrics_map = metrics_map
         self.hook = HookPoint(f"sk_msg@{owner_tag}", ProgramType.SK_MSG, node.vm)
+        self._scratch = Scratch(node.map_registry)
         self._queue: deque = deque()  # redirected descriptors, for the owner
         self.on_enqueue: Optional[Callable[[], None]] = None
         self.descriptors_sent = 0
@@ -90,17 +91,20 @@ class SproxySocket:
         SPROXY dropped it (unauthorized or unknown destination).
         """
         ctx = programs.encode_descriptor_ctx(
-            next_fn_id=descriptor.next_fn,
-            shm_offset=descriptor.shm_offset,
-            payload_len=descriptor.length,
-            sender_id=self.instance_id,
-            generation=descriptor.generation,
+            descriptor.next_fn,
+            descriptor.shm_offset,
+            descriptor.length,
+            self.instance_id,
+            descriptor.generation,
         )
-        scratch = Scratch(
-            map_registry=self.node.map_registry, now_ns=self.node.clock.now_ns
-        )
+        # The hook holds only the SPROXY programs, whose helpers write
+        # nothing but the redirect target, and no run outlives this send:
+        # one scratch serves every send, reset here.
+        scratch = self._scratch
+        scratch.now_ns = self.node.clock.now_ns
+        scratch.redirect_endpoint = None
         # send() syscall enters the kernel; the SK_MSG programs intercept.
-        run = self.hook.fire(data=ctx, scratch=scratch)
+        run = self.hook.fire(ctx, scratch)
         # The helpers record the redirect target in this run's scratch.
         endpoint = scratch.redirect_endpoint
         if run.verdict != SK_PASS or endpoint is None:

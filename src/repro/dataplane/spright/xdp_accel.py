@@ -146,6 +146,7 @@ class XdpAccelerator:
         self.xdp_program = programs.xdp_fib_forward()
         self.tc_program = programs.tc_fib_forward()
         node.nic.xdp_hook.attach(self.xdp_program)
+        self._tc_loaded = node.vm.load(self.tc_program)
         self.redirects = 0
         self.passes = 0
 
@@ -207,8 +208,8 @@ class XdpAccelerator:
             packet_flow=flow,
             now_ns=self.node.clock.now_ns,
         )
-        # Fire against a scratch TC hook owned by the accelerator.
-        run = self.node.vm.run(self.tc_program, data=programs.encode_packet_ctx(nbytes, 2), scratch=scratch)
+        # The accelerator runs its loaded TC program directly (no hook).
+        run = self.node.vm.run(self._tc_loaded, programs.encode_packet_ctx(nbytes, 2), scratch)
         yield ops.compute(costs.tc_fixed + costs.ebpf_run(run.insns_executed))
         if run.return_value == TC_ACT_REDIRECT:
             self.redirects += 1

@@ -51,14 +51,8 @@ class Assembler:
     def add_imm(self, dst: int, imm: int) -> "Assembler":
         return self._emit(Insn(Op.ADD_IMM, dst=dst, imm=imm))
 
-    def add_reg(self, dst: int, src: int) -> "Assembler":
-        return self._emit(Insn(Op.ADD_REG, dst=dst, src=src))
-
     def sub_imm(self, dst: int, imm: int) -> "Assembler":
         return self._emit(Insn(Op.SUB_IMM, dst=dst, imm=imm))
-
-    def sub_reg(self, dst: int, src: int) -> "Assembler":
-        return self._emit(Insn(Op.SUB_REG, dst=dst, src=src))
 
     def mul_imm(self, dst: int, imm: int) -> "Assembler":
         return self._emit(Insn(Op.MUL_IMM, dst=dst, imm=imm))
@@ -69,9 +63,6 @@ class Assembler:
     def mod_imm(self, dst: int, imm: int) -> "Assembler":
         return self._emit(Insn(Op.MOD_IMM, dst=dst, imm=imm))
 
-    def and_imm(self, dst: int, imm: int) -> "Assembler":
-        return self._emit(Insn(Op.AND_IMM, dst=dst, imm=imm))
-
     def or_imm(self, dst: int, imm: int) -> "Assembler":
         return self._emit(Insn(Op.OR_IMM, dst=dst, imm=imm))
 
@@ -80,9 +71,6 @@ class Assembler:
 
     def and_reg(self, dst: int, src: int) -> "Assembler":
         return self._emit(Insn(Op.AND_REG, dst=dst, src=src))
-
-    def xor_reg(self, dst: int, src: int) -> "Assembler":
-        return self._emit(Insn(Op.XOR_REG, dst=dst, src=src))
 
     def lsh_imm(self, dst: int, imm: int) -> "Assembler":
         return self._emit(Insn(Op.LSH_IMM, dst=dst, imm=imm))
@@ -103,17 +91,8 @@ class Assembler:
     def ld64(self, dst: int, src: int, off: int = 0) -> "Assembler":
         return self._emit(Insn(Op.LD64, dst=dst, src=src, off=off))
 
-    def st8(self, dst: int, src: int, off: int = 0) -> "Assembler":
-        return self._emit(Insn(Op.ST8, dst=dst, src=src, off=off))
-
-    def st32(self, dst: int, src: int, off: int = 0) -> "Assembler":
-        return self._emit(Insn(Op.ST32, dst=dst, src=src, off=off))
-
     def st64(self, dst: int, src: int, off: int = 0) -> "Assembler":
         return self._emit(Insn(Op.ST64, dst=dst, src=src, off=off))
-
-    def st_imm32(self, dst: int, off: int, imm: int) -> "Assembler":
-        return self._emit(Insn(Op.ST_IMM32, dst=dst, off=off, imm=imm))
 
     # -- control flow --------------------------------------------------------
     def ja(self, label: str) -> "Assembler":
@@ -122,26 +101,11 @@ class Assembler:
     def jeq_imm(self, dst: int, imm: int, label: str) -> "Assembler":
         return self._emit_jump(Op.JEQ_IMM, dst, 0, imm, label)
 
-    def jeq_reg(self, dst: int, src: int, label: str) -> "Assembler":
-        return self._emit_jump(Op.JEQ_REG, dst, src, 0, label)
-
     def jne_imm(self, dst: int, imm: int, label: str) -> "Assembler":
         return self._emit_jump(Op.JNE_IMM, dst, 0, imm, label)
 
-    def jne_reg(self, dst: int, src: int, label: str) -> "Assembler":
-        return self._emit_jump(Op.JNE_REG, dst, src, 0, label)
-
     def jgt_imm(self, dst: int, imm: int, label: str) -> "Assembler":
         return self._emit_jump(Op.JGT_IMM, dst, 0, imm, label)
-
-    def jge_imm(self, dst: int, imm: int, label: str) -> "Assembler":
-        return self._emit_jump(Op.JGE_IMM, dst, 0, imm, label)
-
-    def jlt_imm(self, dst: int, imm: int, label: str) -> "Assembler":
-        return self._emit_jump(Op.JLT_IMM, dst, 0, imm, label)
-
-    def jle_imm(self, dst: int, imm: int, label: str) -> "Assembler":
-        return self._emit_jump(Op.JLE_IMM, dst, 0, imm, label)
 
     def jset_imm(self, dst: int, imm: int, label: str) -> "Assembler":
         return self._emit_jump(Op.JSET_IMM, dst, 0, imm, label)

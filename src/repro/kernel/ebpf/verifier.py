@@ -147,9 +147,3 @@ def verify(program: Program) -> None:
 
     if not reached_exit:
         raise VerifierError(len(insns) - 1, "no reachable EXIT instruction")
-
-
-def load(program: Program) -> Program:
-    """Verify and return the program (the kernel's prog-load entry point)."""
-    verify(program)
-    return program

@@ -166,9 +166,8 @@ class KernelOps:
         self._priced: dict = {}
 
     # -- internals ---------------------------------------------------------
-    def _book(self, seconds: float, tag: Optional[str] = None, op=None) -> "Event":
-        charge = self.cpu.charge(tag) if tag else self.charge
-        return charge.book(seconds, op)
+    def _book(self, seconds: float, op=None) -> "Event":
+        return self.charge.book(seconds, op)
 
     def _count(
         self,
@@ -188,77 +187,66 @@ class KernelOps:
         nbytes: int,
         trace: Optional[RequestTrace] = None,
         stage: Optional[Stage] = None,
-        tag: Optional[str] = None,
     ) -> "Event":
         """One data copy of ``nbytes`` (user<->kernel or kernel<->kernel)."""
         self._count(trace, stage, OverheadKind.COPY)
-        return self._book(self.costs.copy(nbytes), tag, op="copy")
+        return self._book(self.costs.copy(nbytes), op="copy")
 
     def context_switch(
         self,
         trace: Optional[RequestTrace] = None,
         stage: Optional[Stage] = None,
-        tag: Optional[str] = None,
     ) -> "Event":
         self._count(trace, stage, OverheadKind.CONTEXT_SWITCH)
-        return self._book(self.costs.context_switch, tag, op="context_switch")
+        return self._book(self.costs.context_switch, op="context_switch")
 
     def interrupt(
         self,
         trace: Optional[RequestTrace] = None,
         stage: Optional[Stage] = None,
         count: int = 1,
-        tag: Optional[str] = None,
     ) -> "Event":
         self._count(trace, stage, OverheadKind.INTERRUPT, count)
-        return self._book(self.costs.interrupt * count, tag, op="interrupt")
+        return self._book(self.costs.interrupt * count, op="interrupt")
 
     def protocol_processing(
         self,
         nbytes: int,
         trace: Optional[RequestTrace] = None,
         stage: Optional[Stage] = None,
-        tag: Optional[str] = None,
     ) -> "Event":
         """One full protocol-stack traversal (TCP/IP + checksum + iptables)."""
         self._count(trace, stage, OverheadKind.PROTOCOL_PROCESSING)
-        return self._book(self.costs.protocol_processing(nbytes), tag, op="protocol")
+        return self._book(self.costs.protocol_processing(nbytes), op="protocol")
 
     def serialize(
         self,
         nbytes: int,
         trace: Optional[RequestTrace] = None,
         stage: Optional[Stage] = None,
-        tag: Optional[str] = None,
     ) -> "Event":
         self._count(trace, stage, OverheadKind.SERIALIZATION)
-        return self._book(self.costs.serialize(nbytes), tag, op="serialize")
+        return self._book(self.costs.serialize(nbytes), op="serialize")
 
     def deserialize(
         self,
         nbytes: int,
         trace: Optional[RequestTrace] = None,
         stage: Optional[Stage] = None,
-        tag: Optional[str] = None,
     ) -> "Event":
         self._count(trace, stage, OverheadKind.DESERIALIZATION)
-        return self._book(self.costs.deserialize(nbytes), tag, op="deserialize")
+        return self._book(self.costs.deserialize(nbytes), op="deserialize")
 
     # -- uncounted mechanics (cost only) ---------------------------------------
-    def syscall(self, tag: Optional[str] = None) -> "Event":
-        return self._book(self.costs.syscall, tag, op="syscall")
+    def syscall(self) -> "Event":
+        return self._book(self.costs.syscall, op="syscall")
 
-    def nic_dma(self, tag: Optional[str] = None) -> "Event":
-        return self._book(self.costs.nic_dma, tag, op="nic_dma")
+    def nic_dma(self) -> "Event":
+        return self._book(self.costs.nic_dma, op="nic_dma")
 
-    def compute(self, seconds: float, tag: Optional[str] = None) -> "Event":
+    def compute(self, seconds: float) -> "Event":
         """Application-level computation (function service time)."""
-        return self._book(seconds, tag, op="compute")
-
-    def background(self, seconds: float, tag: Optional[str] = None) -> None:
-        """CPU charged off the critical path (metrics, GC, bookkeeping)."""
-        charge = self.cpu.charge(tag) if tag else self.charge
-        charge.book(seconds, "background", detached=True)
+        return self._book(seconds, op="compute")
 
     def bundle(self) -> "OpBundle":
         """Accumulate several audited ops into one CPU charge.
@@ -275,7 +263,6 @@ class KernelOps:
         nbytes: int = 0,
         trace: Optional[RequestTrace] = None,
         stage: Optional[Stage] = None,
-        tag: Optional[str] = None,
         arg=None,
     ) -> "Event":
         """Charge one ``recipe`` for a message of ``nbytes``: one CPU event.
@@ -293,7 +280,7 @@ class KernelOps:
         if trace is not None and stage is not None:
             for kind, count in priced[3]:
                 self._count(trace, stage, kind, count)
-        charge = self.cpu.charge(tag) if tag else self.charge
+        charge = self.charge
         op = priced[2] if charge.accounting.profiler is not None else "bundle"
         return charge.book(priced[1], op)
 
@@ -354,9 +341,9 @@ class OpBundle:
         self._steps.append(("compute", None, 1, lambda c, _n, a: seconds))
         return self
 
-    def commit(self, tag=None):
+    def commit(self):
         """One CPU-charge event covering everything accumulated."""
         ops = self.ops
         seconds, components = price(self._steps, ops.costs, 0, None)
         op = components if ops.cpu.accounting.profiler is not None else "bundle"
-        return ops._book(seconds, tag, op=op)
+        return ops._book(seconds, op=op)

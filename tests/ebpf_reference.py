@@ -205,7 +205,7 @@ def reference_run(
             helper = helpers.get(imm)
             if helper is None:
                 raise VmFault(f"unknown helper id {imm}")
-            regs[R0] = helper(regs, memory, scratch) & mask
+            regs[R0] = helper(*regs[R1:R1 + 5], memory, scratch) & mask
             pc += 1
             continue
         # _CAT_EXIT

@@ -104,26 +104,18 @@ ALLOWED_METHODS = {
         "item 8: only tests use it (test_kernel_substrate)",
     "src/repro/kernel/ebpf/assembler.py:Assembler.add_imm":
         "item 8: only tests use it (test_ebpf_vm)",
-    "src/repro/kernel/ebpf/assembler.py:Assembler.add_reg":
-        "item 8: used nowhere",
     "src/repro/kernel/ebpf/assembler.py:Assembler.sub_imm":
         "item 8: only tests use it (test_ebpf_vm)",
-    "src/repro/kernel/ebpf/assembler.py:Assembler.sub_reg":
-        "item 8: used nowhere",
     "src/repro/kernel/ebpf/assembler.py:Assembler.mul_imm":
         "item 8: only tests use it (test_ebpf_vm)",
     "src/repro/kernel/ebpf/assembler.py:Assembler.div_imm":
         "item 8: only tests use it (test_ebpf_vm)",
     "src/repro/kernel/ebpf/assembler.py:Assembler.mod_imm":
         "item 8: only tests use it (test_ebpf_vm)",
-    "src/repro/kernel/ebpf/assembler.py:Assembler.and_imm":
-        "item 8: used nowhere",
     "src/repro/kernel/ebpf/assembler.py:Assembler.or_imm":
         "item 8: only tests use it (test_ebpf_vm)",
     "src/repro/kernel/ebpf/assembler.py:Assembler.and_reg":
         "item 8: only tests use it (test_ebpf_vm)",
-    "src/repro/kernel/ebpf/assembler.py:Assembler.xor_reg":
-        "item 8: used nowhere",
     "src/repro/kernel/ebpf/assembler.py:Assembler.rsh_imm":
         "item 8: only tests use it (test_ebpf_vm)",
     "src/repro/kernel/ebpf/assembler.py:Assembler.ld8":
@@ -132,26 +124,10 @@ ALLOWED_METHODS = {
         "item 8: only tests use it (test_ebpf_vm)",
     "src/repro/kernel/ebpf/assembler.py:Assembler.ld64":
         "item 8: only tests use it (test_ebpf_vm)",
-    "src/repro/kernel/ebpf/assembler.py:Assembler.st8":
-        "item 8: used nowhere",
-    "src/repro/kernel/ebpf/assembler.py:Assembler.st32":
-        "item 8: used nowhere",
     "src/repro/kernel/ebpf/assembler.py:Assembler.st64":
         "item 8: only tests use it (test_ebpf_vm)",
-    "src/repro/kernel/ebpf/assembler.py:Assembler.st_imm32":
-        "item 8: used nowhere",
     "src/repro/kernel/ebpf/assembler.py:Assembler.ja":
         "item 8: only tests use it (test_ebpf_vm)",
-    "src/repro/kernel/ebpf/assembler.py:Assembler.jeq_reg":
-        "item 8: used nowhere",
-    "src/repro/kernel/ebpf/assembler.py:Assembler.jne_reg":
-        "item 8: used nowhere",
-    "src/repro/kernel/ebpf/assembler.py:Assembler.jge_imm":
-        "item 8: used nowhere",
-    "src/repro/kernel/ebpf/assembler.py:Assembler.jlt_imm":
-        "item 8: used nowhere",
-    "src/repro/kernel/ebpf/assembler.py:Assembler.jle_imm":
-        "item 8: used nowhere",
     "src/repro/kernel/ebpf/assembler.py:Assembler.jset_imm":
         "item 8: only tests use it (test_ebpf_vm)",
     "src/repro/kernel/ebpf/bpftool.py:ProgStat.avg_insns_per_fire":
@@ -166,8 +142,6 @@ ALLOWED_METHODS = {
         "item 8: only tests use it (test_kernel_substrate)",
     "src/repro/kernel/netdev.py:VethEndpoint.send_frame":
         "item 8: only tests use it (test_kernel_substrate)",
-    "src/repro/kernel/ops.py:KernelOps.background":
-        "item 8: only tests use it (test_simcore_detached)",
     "src/repro/mem/descriptor.py:PacketDescriptor.unpack":
         "item 8: only tests use it (test_mem_pool, test_protocols_property)",
     "src/repro/mem/descriptor.py:PacketDescriptor.addressed_to":

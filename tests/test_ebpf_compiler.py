@@ -6,7 +6,7 @@ import gc
 import inspect
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.kernel.ebpf import (
@@ -16,6 +16,7 @@ from repro.kernel.ebpf import (
     HookPoint,
     MapRegistry,
     ProgramType,
+    SK_PASS,
     Scratch,
     SockMap,
     VerifierError,
@@ -354,6 +355,255 @@ def test_compiled_matches_reference_on_every_op():
     unknown = Assembler("unknown").mov_imm(R0, 1).jeq_imm(R0, 1, "out")
     unknown.call(UNKNOWN_HELPER).label("out").exit_()
     assert Vm().run(unknown.build(ProgramType.XDP)).return_value == 1
+
+
+# -- hooks: a chain of programs, fired as the reference runs them ---------------
+def _world_state(scratch, maps):
+    array, hashmap, sockmap = maps
+    endpoint = scratch.redirect_endpoint
+    return (
+        [array.lookup(index) for index in range(4)],
+        sorted((key, hashmap.lookup(key)) for key in hashmap.keys()),
+        sorted((key, sockmap.lookup(key).name) for key in sockmap.keys()),
+        endpoint.name if endpoint is not None else None,
+        scratch.redirect_ifindex,
+        list(scratch.printk_log),
+        scratch.prandom_state,
+    )
+
+
+def _copy(program, prog_type=None):
+    """The same code in a new object, which may take a freed object's id."""
+    return Program(
+        insns=program.insns, prog_type=prog_type or program.prog_type, name=program.name
+    )
+
+
+def _fire_schedule(chain):
+    """Yield (step, program) pairs: a fire of the chain, a detach and
+    re-attach of its head, then two single programs, the second attached
+    after the first was detached and freed."""
+    yield "fire", None
+    yield "detach", chain[0]
+    yield "attach", chain[0]
+    yield "fire", None
+    for program in chain:
+        yield "detach", program
+    yield "attach-copy", chain[-1]
+    yield "fire", None
+    yield "detach-copy", None
+    yield "attach-copy", chain[0]
+    yield "fire", None
+
+
+def hook_fires(chain, data, spec):
+    """Every fire's outcome through one HookPoint, then the hook's counters
+    and the world."""
+    vm, scratch, maps = build_world(spec)
+    hook = HookPoint("hook@test", chain[0].prog_type, vm)
+    for program in chain:
+        hook.attach(program)
+    runs = []
+    inner = vm.run
+
+    def counted(program, data=b"", scratch=None):
+        runs.append(program)
+        return inner(program, data, scratch)
+
+    vm.run = counted
+    outcomes, copy = [], None
+    for step, program in _fire_schedule(chain):
+        if step == "attach":
+            hook.attach(program)
+        elif step == "detach":
+            hook.detach(program)
+        elif step == "attach-copy":
+            copy = _copy(program)
+            hook.attach(copy)
+        elif step == "detach-copy":
+            hook.detach(copy)
+            copy = None  # freed here: nothing else refers to it
+        else:
+            del runs[:]
+            try:
+                run = hook.fire(data, scratch)
+            except Exception as error:
+                outcomes.append(("fault", type(error), str(error)))
+                assert len(runs) <= len(hook.programs)
+            else:
+                assert run.scratch is scratch
+                outcomes.append(("ok", run.verdict, run.insns_executed))
+                assert len(runs) == len(hook.programs)  # one Vm.run per program
+    return outcomes, (hook.fire_count, hook.total_insns), _world_state(scratch, maps)
+
+
+def reference_fires(chain, data, spec):
+    """The same schedule, each program interpreted on fresh memory."""
+    vm, scratch, maps = build_world(spec)
+    attached = list(chain)
+    outcomes, fires, insns_total = [], 0, 0
+    for step, program in _fire_schedule(chain):
+        if step in ("attach", "attach-copy"):
+            attached.append(program)
+        elif step == "detach":
+            attached.remove(program)
+        elif step == "detach-copy":
+            attached.pop()
+        else:
+            verdict = insns = 0
+            try:
+                for program in attached:
+                    result = reference_run(vm, program, data, scratch)
+                    verdict = result.return_value
+                    insns += result.insns_executed
+            except Exception as error:
+                outcomes.append(("fault", type(error), str(error)))
+            else:
+                outcomes.append(("ok", verdict, insns))
+                fires += 1
+                insns_total += insns
+    return outcomes, (fires, insns_total), _world_state(scratch, maps)
+
+
+# Two storing programs: the second reads what the first stored, which it
+# sees only if the two shared one memory.
+_STORES_THEN_LOADS = [
+    Program(
+        insns=(
+            Insn(Op.MOV_IMM, dst=2, imm=0x1234),
+            Insn(Op.ST64, dst=R10, src=2, off=-8),
+            Insn(Op.ST64, dst=R1, src=2, off=0),
+            Insn(Op.MOV_IMM, dst=R0, imm=1),
+            Insn(Op.EXIT),
+        ),
+        prog_type=ProgramType.XDP,
+        name="stores",
+    ),
+    Program(
+        insns=(
+            Insn(Op.LD64, dst=R0, src=R10, off=-8),
+            Insn(Op.LD64, dst=2, src=R1, off=0),
+            Insn(Op.ADD_REG, dst=R0, src=2),
+            Insn(Op.ST64, dst=R10, src=R0, off=-16),
+            Insn(Op.EXIT),
+        ),
+        prog_type=ProgramType.XDP,
+        name="loads",
+    ),
+]
+_METRICS_THEN_REDIRECT = [
+    programs.sproxy_l7_metrics(ARRAY_FD),
+    programs.sproxy_filtered_redirect(HASH_FD, SOCK_FD),
+]
+_HOOK_WORLD = {
+    "array": [1, 2, 3, 4],
+    "hash": {(1 << 16) | 2: 1},
+    "sock": [2],
+    "now_ns": 5,
+    "prandom": 7,
+    "fib": "hit",
+    "flow": True,
+}
+HOOK_CHAINS = st.lists(
+    st.one_of(verified_programs(), st.sampled_from(sorted(BUILDERS)).map(lambda n: BUILDERS[n]())),
+    min_size=1,
+    max_size=3,
+).map(lambda chain: [_copy(program, chain[0].prog_type) for program in chain])
+
+
+@DIFFERENTIAL
+@given(chain=HOOK_CHAINS, data=CONTEXTS, spec=WORLDS)
+@example(chain=_STORES_THEN_LOADS, data=bytes(8), spec=_HOOK_WORLD)
+@example(
+    chain=_METRICS_THEN_REDIRECT,
+    data=programs.encode_descriptor_ctx(2, 0, 64, 1),
+    spec=_HOOK_WORLD,
+)
+def test_hook_fires_match_reference_runs(chain, data, spec):
+    assert hook_fires(chain, data, spec) == reference_fires(chain, data, spec)
+
+
+def test_stores_are_not_seen_by_the_next_program():
+    outcomes = hook_fires(_STORES_THEN_LOADS, bytes(8), _HOOK_WORLD)[0]
+    assert outcomes[0] == ("ok", 0, 10)
+
+
+def test_hook_loads_at_attach_and_fires_without_lookups():
+    vm, scratch, _ = build_world(_HOOK_WORLD)
+    hook = HookPoint("sk_msg@fn", ProgramType.SK_MSG, vm)
+    for program in _METRICS_THEN_REDIRECT:
+        hook.attach(program)
+    assert len(vm._compiled) == 2
+
+    def no_load(program):  # pragma: no cover - failing path
+        raise AssertionError("fire must not load")
+
+    vm.load = no_load
+    vm._by_identity.clear()
+    run = hook.fire(programs.encode_descriptor_ctx(2, 0, 64, 1), scratch)
+    assert (run.verdict, scratch.redirect_endpoint.name) == (SK_PASS, "sock-2")
+
+
+# -- bound maps fault exactly as their helpers ------------------------------------
+def _bound_outcome(execute, program, data, spec, change):
+    """Load ``program`` (binding its maps), apply ``change`` to the world,
+    then run it."""
+    vm, scratch, maps = build_world(spec)
+    vm.load(program)
+    change(vm, scratch)
+    try:
+        result = execute(vm, program, data, scratch)
+    except Exception as error:
+        outcome = ("fault", type(error), str(error))
+    else:
+        outcome = ("ok", result.return_value, result.insns_executed)
+    return outcome, _world_state(scratch, maps)
+
+
+def _close(fd):
+    return lambda vm, scratch: vm.map_registry.close(fd)
+
+
+def _other_registry(vm, scratch):
+    """A registry with the same fds holding other maps (and a missing one)."""
+    other = MapRegistry()
+    array, hashmap = ArrayMap(4, "array"), HashMap(4, "hash")
+    other.create(array)
+    other.create(hashmap)
+    hashmap.update((1 << 16) | 2, 9)
+    scratch.map_registry = other
+
+
+@pytest.mark.parametrize(
+    "change",
+    [lambda vm, scratch: None, _close(ARRAY_FD), _close(HASH_FD), _close(SOCK_FD), _other_registry],
+    ids=["unchanged", "closed-array", "closed-hash", "closed-sock", "other-registry"],
+)
+@pytest.mark.parametrize(
+    "program",
+    [
+        *_METRICS_THEN_REDIRECT,
+        programs.sproxy_redirect(SOCK_FD),
+        programs.sproxy_redirect(ARRAY_FD),  # wrong map type
+        programs.sproxy_l7_metrics(HASH_FD),  # wrong map type
+        programs.sproxy_filtered_redirect(MISSING_FD, SOCK_FD),  # missing fd
+        programs.sproxy_l7_metrics(MISSING_FD),
+    ],
+    ids=[
+        "metrics",
+        "filtered",
+        "redirect",
+        "redirect-on-array",
+        "metrics-on-hash",
+        "filtered-missing-fd",
+        "metrics-missing-fd",
+    ],
+)
+def test_bound_maps_fault_like_their_helpers(program, change):
+    data = programs.encode_descriptor_ctx(2, 0, 64, 1)
+    compiled = _bound_outcome(Vm.run, program, data, _HOOK_WORLD, change)
+    reference = _bound_outcome(reference_run, program, data, _HOOK_WORLD, change)
+    assert compiled == reference
 
 
 # -- verify on first run, and the compile cache ----------------------------------

@@ -5,9 +5,11 @@ import pytest
 from repro.kernel.ebpf import (
     Assembler,
     ArrayMap,
+    BpfMap,
     HashMap,
     HELPER_ARRAY_ADD,
     HELPER_KTIME_GET_NS,
+    HELPER_MAP_DELETE,
     HELPER_MAP_LOOKUP,
     HELPER_MAP_UPDATE,
     MapRegistry,
@@ -21,7 +23,7 @@ from repro.kernel.ebpf import (
     Vm,
     VmFault,
 )
-from repro.kernel.ebpf.isa import Insn, Op
+from repro.kernel.ebpf.isa import WORD_MASK, Insn, Op
 
 
 def run_program(asm, data=b"", registry=None, scratch=None):
@@ -208,6 +210,34 @@ def test_helper_array_add_accumulates():
     result = run_program(asm, registry=registry)
     assert result.return_value == 30
     assert registry.get(fd).lookup(0) == 30
+
+
+def test_helper_map_delete_errnos():
+    """0 on a delete, -ENOENT for a missing key, -EINVAL for an array map;
+    a failure that is not a MapError is not turned into an errno."""
+
+    class Broken(BpfMap):
+        def delete(self, key):
+            raise RuntimeError("broken map")
+
+    registry = MapRegistry()
+    hash_fd = registry.create(HashMap(max_entries=4))
+    array_fd = registry.create(ArrayMap(max_entries=2))
+    broken_fd = registry.create(Broken(max_entries=1))
+    registry.get(hash_fd).update(1, 5)
+
+    def delete(fd, key):
+        asm = Assembler("delete").mov_imm(R1, fd).mov_imm(R2, key)
+        asm.call(HELPER_MAP_DELETE).exit_()
+        return run_program(asm, registry=registry).return_value
+
+    assert delete(hash_fd, 1) == 0
+    assert 1 not in registry.get(hash_fd)
+    assert delete(hash_fd, 1) == -2 & WORD_MASK  # -ENOENT
+    assert delete(array_fd, 0) == -22 & WORD_MASK  # -EINVAL
+    assert registry.get(array_fd).lookup(0) == 0
+    with pytest.raises(RuntimeError, match="broken map"):
+        delete(broken_fd, 0)
 
 
 def test_helper_ktime_reads_scratch_clock():
