@@ -2,8 +2,8 @@
 
 §3.8 of the paper discusses multi-node SPRIGHT deployments; this module
 builds the substrate: several :class:`~repro.runtime.WorkerNode`\\ s sharing
-one :class:`~repro.simcore.Environment`, joined by point-to-point links with
-per-link latency and bandwidth. A cross-node transfer is not a magic
+one :class:`~repro.simcore.Environment`, joined by point-to-point links of
+one latency and bandwidth. A cross-node transfer is not a magic
 timeout — the payload leaves shared memory, is framed by a *real* protocol
 codec (gRPC length-prefixed frames or HTTP/1.1), pays the sender's tx stack
 and the receiver's rx stack as audited :class:`~repro.kernel.KernelOps`
@@ -96,7 +96,6 @@ class ClusterFabric:
         self.default_link = default_link or LinkSpec()
         self.nodes: dict[str, WorkerNode] = {}
         self.ips: dict[str, str] = {}
-        self._links: dict[tuple[str, str], LinkSpec] = {}
         self.xnode_hops = 0
         self.bytes_moved = 0
 
@@ -113,13 +112,6 @@ class ClusterFabric:
         self.nodes[node.name] = node
         self.ips[node.name] = ip
         return node
-
-    def set_link(self, src: str, dst: str, link: LinkSpec) -> None:
-        """Override one direction's link spec (set both for symmetry)."""
-        self._links[(src, dst)] = link
-
-    def link_between(self, src: str, dst: str) -> LinkSpec:
-        return self._links.get((src, dst), self.default_link)
 
     # -- data movement ------------------------------------------------------
     def transfer(
@@ -177,7 +169,7 @@ class ClusterFabric:
             yield ops_tx.commit(KERNEL_TX, nbytes)
             yield self.env.timeout(costs_tx.nic_dma)
 
-        link = self.link_between(src.name, dst.name)
+        link = self.default_link
         yield self.env.timeout(link.wire_time(nbytes))
 
         yield self.env.timeout(costs_rx.nic_dma)

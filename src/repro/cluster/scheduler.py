@@ -124,28 +124,6 @@ class FunctionPlacement:
     def node_of(self, function: str) -> str:
         return self.assignments[function]
 
-    def nodes_used(self) -> list[str]:
-        """Distinct nodes, in first-use order over the chain's functions."""
-        seen: list[str] = []
-        for node in self.assignments.values():
-            if node not in seen:
-                seen.append(node)
-        return seen
-
-    def transitions(self, sequence: Sequence[str]) -> int:
-        """Node boundaries crossed executing ``sequence`` plus the return
-        leg to the ingress (which sits with the first function)."""
-        hops = 0
-        previous: Optional[str] = None
-        for function in sequence:
-            node = self.assignments[function]
-            if previous is not None and node != previous:
-                hops += 1
-            previous = node
-        if sequence and previous != self.assignments[sequence[0]]:
-            hops += 1
-        return hops
-
     def digest(self) -> str:
         """Stable fingerprint of the assignment (determinism tests)."""
         blob = ";".join(

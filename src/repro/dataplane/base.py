@@ -144,7 +144,6 @@ class ProxyComponent:
             self.cpu = CpuSet(
                 node.env,
                 cores=pinned_cores,
-                freq_hz=node.config.costs.cpu_freq_hz,
                 bucket_width=node.config.cpu_bucket_width,
                 accounting=node.cpu.accounting,
             )

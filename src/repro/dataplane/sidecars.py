@@ -82,7 +82,6 @@ class SidecarPod:
         self.cpu = CpuSet(
             node.env,
             cores=pod_cores,
-            freq_hz=node.config.costs.cpu_freq_hz,
             bucket_width=node.config.cpu_bucket_width,
             accounting=node.cpu.accounting,
         )

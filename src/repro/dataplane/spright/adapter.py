@@ -146,12 +146,6 @@ class MqttSessionTable:
         self._sessions[packet.client_id] = packet
         return ConnackPacket(reason_code=0).encode()
 
-    def is_connected(self, client_id: str) -> bool:
-        return client_id in self._sessions
-
-    def disconnect(self, client_id: str) -> None:
-        self._sessions.pop(client_id, None)
-
     def __len__(self) -> int:
         return len(self._sessions)
 
@@ -169,11 +163,6 @@ class AdapterHookPoint:
         if adapter.protocol in self._adapters:
             raise AdapterError(f"adapter for {adapter.protocol!r} already loaded")
         self._adapters[adapter.protocol] = adapter
-
-    def unload(self, protocol: str) -> None:
-        if protocol not in self._adapters:
-            raise AdapterError(f"no adapter loaded for {protocol!r}")
-        del self._adapters[protocol]
 
     def loaded(self) -> list[str]:
         return sorted(self._adapters)

@@ -8,6 +8,7 @@ rings — precisely the §3.2.2 comparison.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from ...audit import Stage
@@ -205,14 +206,7 @@ class _SprightBase(Dataplane):
             created_at=self.node.env.now,
         )
         if topic:
-            request.request_class = RequestClass(
-                name=request_class.name,
-                sequence=request_class.sequence,
-                payload_size=request_class.payload_size,
-                response_size=request_class.response_size,
-                weight=request_class.weight,
-                topic=topic,
-            )
+            request.request_class = replace(request_class, topic=topic)
         yield from self.submit(request)
         return request, ack
 

@@ -38,12 +38,5 @@ class SecurityDomain:
         self.filter_map.update(filter_key(sender_instance, destination_instance), 1)
         self.rules_installed += 1
 
-    def is_allowed(self, sender_instance: int, destination_instance: int) -> bool:
-        """Userspace view of what the in-kernel program will decide."""
-        return (
-            self.filter_map.lookup(filter_key(sender_instance, destination_instance))
-            is not None
-        )
-
     def record_denial(self) -> None:
         self.denied += 1

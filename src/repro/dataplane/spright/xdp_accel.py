@@ -1,13 +1,13 @@
 """eBPF XDP/TC dataplane acceleration for traffic outside the chain (§3.5),
 plus the λ-NIC SmartNIC compute engine that extends it past the host boundary.
 
-An XDP program on the physical NIC and TC programs on the host-side veths
-redirect raw frames between interfaces after a FIB lookup, skipping the
-kernel protocol stack and its iptables walk. The programs are real bytecode
-(:func:`repro.kernel.ebpf.programs.xdp_fib_forward` /
-:func:`tc_fib_forward`) executed per packet; the saving the paper reports
-(1.3x throughput, ~20% latency) comes from replacing two protocol-stack
-traversals with two program executions plus a redirect.
+An XDP program on the physical NIC redirects raw frames between interfaces
+after a FIB lookup, skipping the kernel protocol stack and its iptables
+walk. The program is real bytecode
+(:func:`repro.kernel.ebpf.programs.xdp_fib_forward`) executed per packet;
+the saving the paper reports (1.3x throughput, ~20% latency) comes from
+replacing protocol-stack traversals with program executions plus a
+redirect.
 
 :class:`NicComputeEngine` goes one step further (PAPERS.md's "λ-NIC:
 Interactive Serverless Compute on Programmable SmartNICs"): whole short
@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Optional
 
 from ...audit import RequestTrace, Stage
 from ...kernel import FiveTuple
-from ...kernel.ebpf import Scratch, XDP_REDIRECT, TC_ACT_REDIRECT, programs
+from ...kernel.ebpf import Scratch, XDP_REDIRECT, programs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...kernel import KernelOps
@@ -139,14 +139,12 @@ class NicComputeEngine:
 
 
 class XdpAccelerator:
-    """Installs and runs the forwarding programs on NIC + veth hooks."""
+    """Installs and runs the XDP forwarding program on the NIC hook."""
 
     def __init__(self, node: "WorkerNode") -> None:
         self.node = node
         self.xdp_program = programs.xdp_fib_forward()
-        self.tc_program = programs.tc_fib_forward()
         node.nic.xdp_hook.attach(self.xdp_program)
-        self._tc_loaded = node.vm.load(self.tc_program)
         self.redirects = 0
         self.passes = 0
 
@@ -187,34 +185,6 @@ class XdpAccelerator:
             yield ops.compute(costs.fib_lookup)
         else:
             # FIB miss: fall back to the ordinary kernel path.
-            self.passes += 1
-            yield ops.protocol_processing(nbytes, trace, stage)
-            yield ops.interrupt(trace, stage, count=2)
-
-    def tc_egress(
-        self,
-        ops: "KernelOps",
-        nbytes: int,
-        dst_ip: str,
-        trace: Optional[RequestTrace],
-        stage: Optional[Stage],
-    ):
-        """Generator: pod-egress redirect at the veth-host TC hook (②/③ Fig 7)."""
-        costs = self.node.config.costs
-        flow = FiveTuple(src_ip="10.0.1.2", dst_ip=dst_ip, src_port=40001, dst_port=80)
-        scratch = Scratch(
-            map_registry=self.node.map_registry,
-            fib=self.node.fib,
-            packet_flow=flow,
-            now_ns=self.node.clock.now_ns,
-        )
-        # The accelerator runs its loaded TC program directly (no hook).
-        run = self.node.vm.run(self._tc_loaded, programs.encode_packet_ctx(nbytes, 2), scratch)
-        yield ops.compute(costs.tc_fixed + costs.ebpf_run(run.insns_executed))
-        if run.return_value == TC_ACT_REDIRECT:
-            self.redirects += 1
-            yield ops.interrupt(trace, stage)
-        else:
             self.passes += 1
             yield ops.protocol_processing(nbytes, trace, stage)
             yield ops.interrupt(trace, stage, count=2)

@@ -68,10 +68,6 @@ class TracedRun:
             rows.append((kind.name.lower(), registry_count, audited, registry_count == audited))
         return rows
 
-    def reconciled(self) -> bool:
-        """True when every kind's registry counter equals the audit sum."""
-        return all(match for _, _, _, match in self.reconciliation())
-
 
 def run_traced(
     plane: str = "s-spright",

@@ -11,11 +11,10 @@ entries, on every run, on every dataplane.
 
 Injection points (each substrate exposes a hook; see DESIGN.md):
 
-* **NIC/veth frames** — ``kernel/netdev.py`` RX/TX consult the injector
-  before queueing/forwarding a frame (drop, corrupt-and-discard);
-* **kernel legs** — the audited transfer legs in ``dataplane/legs.py``
-  consult the injector per traversal, so Knative/gRPC paths (which move
-  bytes as costed bundles, not frames) see the same loss process;
+* **kernel legs** — the one packet-loss site: the audited transfer legs in
+  ``dataplane/legs.py`` (``leg_external``, ``leg_kernel``,
+  ``leg_localhost``) consult the injector per traversal (drop,
+  corrupt-and-discard), so every plane sees the same loss process;
 * **shared-memory rings** — ``mem/rings.py`` enqueue honors a
   ``fault_hook`` (forced overflow) and the ring transport adds
   injector-driven descriptor stalls;
@@ -244,7 +243,8 @@ class FaultInjector:
         return False
 
     def drop_packet(self, point: str, identity: str) -> bool:
-        """Should this frame/leg traversal be lost? (RX/TX + kernel legs.)"""
+        """Should this leg traversal be lost? The one loss site is
+        :func:`repro.dataplane.legs._check_loss`; ``point`` names the leg."""
         if not self.active or not self._packet_drop:
             return False
         if self._stochastic_hit(self._packet_drop, identity):
@@ -254,7 +254,7 @@ class FaultInjector:
         return False
 
     def corrupt_packet(self, point: str, identity: str) -> bool:
-        """Should this frame be corrupted (and discarded at the checksum)?"""
+        """Should this leg's payload be corrupted (and discarded at the checksum)?"""
         if not self.active or not self._packet_corrupt:
             return False
         if self._stochastic_hit(self._packet_corrupt, identity):

@@ -23,7 +23,7 @@ def _loss_crash() -> FaultPlan:
 
 
 def _lossy() -> FaultPlan:
-    """Pure 1% stochastic packet loss on every device and kernel leg."""
+    """Pure 1% stochastic packet loss on every kernel leg."""
     return FaultPlan(
         name="lossy",
         faults=[FaultSpec(kind=FaultKind.PACKET_DROP, probability=0.01)],

@@ -1,11 +1,10 @@
-"""Simulated Linux kernel substrate: costs, packets, stack, eBPF, devices."""
+"""Simulated Linux kernel substrate: costs, flows, stack, eBPF, NIC, FIB."""
 
 from .costs import CostModel, DEFAULT_COSTS, NodeConfig, usec
 from .fib import FibEntry, FibTable
-from .iptables import Rule, RuleChain, Traversal, Verdict, kubernetes_like_chain
-from .netdev import DeviceRegistry, NetDevice, PhysicalNic, VethEndpoint, VethPair
+from .netdev import DeviceRegistry, PhysicalNic
 from .ops import KernelOps
-from .packet import FiveTuple, Message, Packet
+from .packet import FiveTuple
 
 __all__ = [
     "CostModel",
@@ -15,17 +14,7 @@ __all__ = [
     "FibTable",
     "FiveTuple",
     "KernelOps",
-    "Message",
-    "NetDevice",
     "NodeConfig",
-    "Packet",
     "PhysicalNic",
-    "Rule",
-    "RuleChain",
-    "Traversal",
-    "Verdict",
-    "VethEndpoint",
-    "VethPair",
-    "kubernetes_like_chain",
     "usec",
 ]

@@ -61,7 +61,6 @@ class CostModel:
     ebpf_map_update: float = usec(0.25)
     sockmap_redirect: float = usec(0.5)       # bpf_msg_redirect_map fast path
     xdp_fixed: float = usec(0.4)              # XDP frame handling
-    tc_fixed: float = usec(0.5)
     fib_lookup: float = usec(0.3)
     # -- shared memory / DPDK ----------------------------------------------
     ring_enqueue: float = usec(0.05)
@@ -110,9 +109,6 @@ class CostModel:
     def cycles(self, seconds: float) -> float:
         """Convert seconds of CPU time to cycles on this machine."""
         return seconds * self.cpu_freq_hz
-
-    def seconds_from_cycles(self, cycles: float) -> float:
-        return cycles / self.cpu_freq_hz
 
 
 DEFAULT_COSTS = CostModel()

@@ -1,6 +1,6 @@
 """Kernel FIB (Forwarding Information Base) table.
 
-The XDP/TC forwarding programs (§3.5) consult this table through the
+The XDP forwarding program (§3.5) consults this table through the
 ``bpf_fib_lookup`` helper to map a packet's destination to an egress
 interface, replacing the iptables-heavy kernel routing path.
 """
@@ -21,33 +21,20 @@ class FibEntry:
 
 
 class FibTable:
-    """Host routes: destination IP -> egress ifindex (plus a default)."""
+    """Host routes: destination IP -> egress ifindex."""
 
     def __init__(self) -> None:
         self._routes: dict[str, FibEntry] = {}
-        self._default: Optional[FibEntry] = None
         self.lookup_count = 0
 
     def add_route(self, dst_ip: str, ifindex: int, gateway: Optional[str] = None) -> None:
         self._routes[dst_ip] = FibEntry(dst_ip=dst_ip, ifindex=ifindex, gateway=gateway)
 
-    def set_default(self, ifindex: int, gateway: Optional[str] = None) -> None:
-        self._default = FibEntry(dst_ip="0.0.0.0/0", ifindex=ifindex, gateway=gateway)
-
-    def remove_route(self, dst_ip: str) -> None:
-        if dst_ip not in self._routes:
-            raise KeyError(f"no route for {dst_ip}")
-        del self._routes[dst_ip]
-
     def lookup(self, flow: FiveTuple) -> Optional[int]:
         """Resolve the egress ifindex for a flow; None on total miss."""
         self.lookup_count += 1
         entry = self._routes.get(flow.dst_ip)
-        if entry is not None:
-            return entry.ifindex
-        if self._default is not None:
-            return self._default.ifindex
-        return None
+        return None if entry is None else entry.ifindex
 
     def __len__(self) -> int:
         return len(self._routes)

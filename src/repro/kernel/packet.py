@@ -1,19 +1,8 @@
-"""Packet and message types flowing through the simulated node.
-
-A :class:`Packet` models an L2/L3 frame (what NIC/XDP/TC/veth see); a
-:class:`Message` models an L7 request/response payload (what functions and
-gateways see). The audit framework hangs per-request counters off the
-message so every copy/context switch/interrupt is attributable.
-"""
+"""Flow identity: the IP 5-tuple the FIB and the XDP path look up."""
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Optional
-
-_packet_ids = itertools.count(1)
-_message_ids = itertools.count(1)
+from dataclasses import dataclass
 
 
 @dataclass
@@ -36,60 +25,4 @@ class FiveTuple:
             src_port=self.dst_port,
             dst_port=self.src_port,
             protocol=self.protocol,
-        )
-
-
-@dataclass
-class Packet:
-    """A raw frame: payload bytes plus flow metadata."""
-
-    flow: FiveTuple
-    payload: bytes = b""
-    headers_len: int = 66  # Ethernet + IPv4 + TCP
-    ingress_ifindex: int = 0
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
-
-    @property
-    def size(self) -> int:
-        return self.headers_len + len(self.payload)
-
-
-@dataclass
-class Message:
-    """An L7 message travelling through a function chain.
-
-    ``trace`` carries the audit record; ``topic`` drives DFR routing;
-    ``chain_position`` tracks progress through the user-defined sequence.
-    """
-
-    payload: bytes
-    topic: str = ""
-    method: str = "GET"
-    path: str = "/"
-    content_type: str = "application/octet-stream"
-    is_response: bool = False
-    created_at: float = 0.0
-    caller_id: Optional[str] = None
-    chain_position: int = 0
-    message_id: int = field(default_factory=lambda: next(_message_ids))
-    trace: Optional[object] = None  # audit.RequestTrace, typed loosely to avoid cycle
-    shm_handle: Optional[object] = None  # mem.BufferHandle when in shared memory
-
-    @property
-    def size(self) -> int:
-        return len(self.payload)
-
-    def child(self, payload: bytes, topic: str = "") -> "Message":
-        """Derive a follow-on message that keeps trace/identity context."""
-        return Message(
-            payload=payload,
-            topic=topic or self.topic,
-            method=self.method,
-            path=self.path,
-            content_type=self.content_type,
-            created_at=self.created_at,
-            caller_id=self.caller_id,
-            chain_position=self.chain_position,
-            trace=self.trace,
-            shm_handle=self.shm_handle,
         )

@@ -46,7 +46,7 @@ from urllib.parse import urlsplit
 
 from ..stats.tracing import waterfall_rows
 from .metrics import CounterMetric, GaugeMetric, HistogramMetric
-from .slo import SloBoard, SloTarget, histogram_quantile
+from .slo import SloBoard, histogram_quantile
 
 STATIC_DIR = Path(__file__).parent / "static"
 
@@ -236,10 +236,6 @@ class LiveSink:
         for env in self._envs:
             env.remove_observer(self._on_event)
         self._envs.clear()
-
-    def watch_recorder(self, target: SloTarget, recorder, group: str = ""):
-        """Stream a LatencyRecorder's completions into an SLO monitor."""
-        return self.slo.watch_recorder(target, recorder, group)
 
     # -- ticking -------------------------------------------------------------
     def _on_event(self, now: float) -> None:

@@ -165,23 +165,6 @@ class MetricsRegistry:
         """Every counter's value, in first-increment order."""
         return {m.name: int(m.value) for m in self.counters()}
 
-    def sum_counters(self, prefix: str, suffix: str = "") -> int:
-        """Sum every counter named ``<prefix>/...<suffix>``.
-
-        The reconciliation idiom: ``sum_counters("autoscale", "cold_starts")``
-        totals per-function cold starts to compare against a dataplane's own
-        counter, without enumerating function names by hand.
-        """
-        total = 0
-        for metric in self.counters():
-            name = metric.name
-            if not name.startswith(prefix + "/"):
-                continue
-            if suffix and not name.endswith("/" + suffix):
-                continue
-            total += int(metric.value)
-        return total
-
     # -- OpenMetrics text exposition ----------------------------------------
     def render_openmetrics(
         self, prefix: str = "spright", labels: Optional[dict] = None

@@ -123,10 +123,6 @@ class BurnRateMonitor:
         while len(self._samples) > 1 and self._samples[0][0] < cutoff:
             self._samples.popleft()
 
-    def record_latency(self, now: float, latency_s: float) -> None:
-        good = latency_s <= self.target.latency_threshold_s
-        self.record(now, int(good), int(not good))
-
     # -- evaluation ----------------------------------------------------------
     def _window_counts(self, now: float, window_s: float) -> tuple[int, int]:
         """(good, total) accumulated inside (now - window_s, now]."""

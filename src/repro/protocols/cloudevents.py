@@ -1,4 +1,4 @@
-"""CloudEvents v1.0 envelope (structured JSON + binary HTTP modes).
+"""CloudEvents v1.0 event: the attributes every adapted request carries.
 
 The protocol adapter (§3.6) normalizes every inbound protocol into a
 CloudEvent before handing the payload to the chain, matching the spec the
@@ -7,17 +7,12 @@ serverless ecosystem (Knative eventing included) standardized on.
 
 from __future__ import annotations
 
-import base64
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-SPEC_VERSION = "1.0"
-REQUIRED_ATTRIBUTES = ("id", "source", "specversion", "type")
-
 
 class CloudEventError(Exception):
-    """Missing required attributes or malformed envelopes."""
+    """Missing required attributes."""
 
 
 @dataclass
@@ -36,95 +31,3 @@ class CloudEvent:
     def __post_init__(self) -> None:
         if not self.id or not self.source or not self.type:
             raise CloudEventError("id, source and type are required")
-
-    # -- structured mode (one JSON document) ----------------------------------
-    def to_structured(self) -> bytes:
-        document = {
-            "specversion": SPEC_VERSION,
-            "id": self.id,
-            "source": self.source,
-            "type": self.type,
-            "datacontenttype": self.datacontenttype,
-        }
-        if self.subject is not None:
-            document["subject"] = self.subject
-        if self.time is not None:
-            document["time"] = self.time
-        document.update(self.extensions)
-        if self.data:
-            document["data_base64"] = base64.b64encode(self.data).decode()
-        return json.dumps(document, sort_keys=True).encode()
-
-    @classmethod
-    def from_structured(cls, raw: bytes) -> "CloudEvent":
-        try:
-            document = json.loads(raw.decode())
-        except (ValueError, UnicodeDecodeError) as error:
-            raise CloudEventError(f"not a JSON envelope: {error}") from error
-        for attribute in REQUIRED_ATTRIBUTES:
-            if attribute not in document:
-                raise CloudEventError(f"missing required attribute {attribute!r}")
-        if document["specversion"] != SPEC_VERSION:
-            raise CloudEventError(f"unsupported specversion {document['specversion']!r}")
-        data = b""
-        if "data_base64" in document:
-            data = base64.b64decode(document["data_base64"])
-        elif "data" in document:
-            data = json.dumps(document["data"]).encode()
-        known = {
-            "specversion", "id", "source", "type", "datacontenttype",
-            "subject", "time", "data", "data_base64",
-        }
-        extensions = {
-            key: value for key, value in document.items() if key not in known
-        }
-        return cls(
-            id=document["id"],
-            source=document["source"],
-            type=document["type"],
-            data=data,
-            datacontenttype=document.get("datacontenttype", "application/octet-stream"),
-            subject=document.get("subject"),
-            time=document.get("time"),
-            extensions=extensions,
-        )
-
-    # -- binary mode (attributes in headers, data in body) ----------------------
-    def to_binary_headers(self) -> tuple[dict[str, str], bytes]:
-        headers = {
-            "ce-specversion": SPEC_VERSION,
-            "ce-id": self.id,
-            "ce-source": self.source,
-            "ce-type": self.type,
-            "content-type": self.datacontenttype,
-        }
-        if self.subject is not None:
-            headers["ce-subject"] = self.subject
-        if self.time is not None:
-            headers["ce-time"] = self.time
-        for key, value in self.extensions.items():
-            headers[f"ce-{key}"] = value
-        return headers, self.data
-
-    @classmethod
-    def from_binary_headers(cls, headers: dict[str, str], body: bytes) -> "CloudEvent":
-        normalized = {key.lower(): value for key, value in headers.items()}
-        for attribute in ("ce-id", "ce-source", "ce-type", "ce-specversion"):
-            if attribute not in normalized:
-                raise CloudEventError(f"missing header {attribute!r}")
-        known = {"ce-specversion", "ce-id", "ce-source", "ce-type", "ce-subject", "ce-time"}
-        extensions = {
-            key[3:]: value
-            for key, value in normalized.items()
-            if key.startswith("ce-") and key not in known
-        }
-        return cls(
-            id=normalized["ce-id"],
-            source=normalized["ce-source"],
-            type=normalized["ce-type"],
-            data=body,
-            datacontenttype=normalized.get("content-type", "application/octet-stream"),
-            subject=normalized.get("ce-subject"),
-            time=normalized.get("ce-time"),
-            extensions=extensions,
-        )

@@ -20,7 +20,6 @@ from .spec import (
     FunctionSpec,
     RESPONSE,
     echo_behavior,
-    sequential_chain,
 )
 
 __all__ = [
@@ -46,5 +45,4 @@ __all__ = [
     "WorkerNode",
     "desired_scale_for_concurrency",
     "echo_behavior",
-    "sequential_chain",
 ]

@@ -11,31 +11,23 @@ Implements the Knative behaviours Figs 11/12 evaluate:
 SPRIGHT runs the same autoscaler but keeps ``min_scale >= 1`` — affordable
 because its warm pods cost no CPU when idle (§4.2.2).
 
-The traffic subsystem (:mod:`repro.traffic`) plugs in here two ways:
-
-* ``register(..., keepalive=...)`` accepts a
-  :class:`repro.traffic.keepalive.KeepAlivePolicy`; the policy then
-  replaces the fixed grace period — it decides how long an idle function
-  stays warm, whether it is pre-warmed ahead of the predicted next
-  arrival, and (pinned policies) the floor the deployment never drops
-  below. Registrations without a policy behave exactly as before.
-* Every tick the autoscaler integrates idle warm pod-seconds per function
-  and publishes them as ``autoscale/<fn>/idle_pod_seconds`` gauges
-  (cold starts are counted by :meth:`Deployment.note_cold_start` as
-  ``autoscale/<fn>/cold_starts``); the traffic economics accountant
-  mirrors exactly these numbers into ``traffic/*``.
+Every tick the autoscaler integrates idle warm pod-seconds per function
+and publishes them as ``autoscale/<fn>/idle_pod_seconds`` gauges (cold
+starts are counted by :meth:`Deployment.note_cold_start` as
+``autoscale/<fn>/cold_starts``). The keep-alive policy lab
+(:mod:`repro.traffic`) evaluates other policies in its analytic fleet
+simulator, not here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from .kubelet import Deployment, desired_scale_for_concurrency
 from .metrics_server import MetricsServer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..traffic.keepalive import KeepAlivePolicy, WarmPlan
     from .node import WorkerNode
 
 
@@ -56,30 +48,18 @@ class Autoscaler:
     def __init__(self, node: "WorkerNode", metrics: MetricsServer) -> None:
         self.node = node
         self.metrics = metrics
-        self._entries: list[tuple[Deployment, AutoscalerPolicy, Optional["KeepAlivePolicy"]]] = []
+        self._entries: list[tuple[Deployment, AutoscalerPolicy]] = []
         self._last_traffic: dict[str, float] = {}
         # Idle-capacity ledger: accumulated warm-but-idle pod-seconds per
         # function, integrated on the tick grid and published as gauges.
         self._idle_pod_seconds: dict[str, float] = {}
         self._last_tick: float = 0.0
-        # Keep-alive plan cache: (function) -> (idle_since, WarmPlan), so a
-        # policy's plan_after is consulted once per idle period, not every
-        # tick — keeping the decision log one entry per decision.
-        self._plans: dict[str, tuple[float, "WarmPlan"]] = {}
         self.decisions = 0
         self._started = False
 
-    def register(
-        self,
-        deployment: Deployment,
-        policy: AutoscalerPolicy,
-        keepalive: Optional["KeepAlivePolicy"] = None,
-    ) -> None:
-        self._entries.append((deployment, policy, keepalive))
-        minimum = deployment.spec.min_scale
-        if keepalive is not None:
-            minimum = max(minimum, keepalive.min_warm(deployment.spec.name))
-        deployment.ensure_scale(minimum)
+    def register(self, deployment: Deployment, policy: AutoscalerPolicy) -> None:
+        self._entries.append((deployment, policy))
+        deployment.ensure_scale(deployment.spec.min_scale)
 
     def start(self) -> None:
         if self._started:
@@ -110,13 +90,13 @@ class Autoscaler:
             yield self.node.env.timeout(self._min_tick())
             now = self.node.env.now
             self._accrue_idle(now)
-            for deployment, policy, keepalive in self._entries:
-                self._decide(deployment, policy, keepalive, now)
+            for deployment, policy in self._entries:
+                self._decide(deployment, policy, now)
 
     def _min_tick(self) -> float:
         if not self._entries:
             return 2.0
-        return min(policy.tick_interval for _, policy, _ in self._entries)
+        return min(policy.tick_interval for _, policy in self._entries)
 
     # -- idle-capacity accounting ------------------------------------------
     def _accrue_idle(self, now: float) -> None:
@@ -126,7 +106,7 @@ class Autoscaler:
         if dt <= 0:
             return
         registry = self.node.obs.registry
-        for deployment, _, _ in self._entries:
+        for deployment, _ in self._entries:
             name = deployment.spec.name
             idle_pods = sum(
                 1 for pod in deployment.servable_pods() if pod.in_flight == 0
@@ -136,41 +116,19 @@ class Autoscaler:
                 self._idle_pod_seconds[name] = total
                 registry.gauge(f"autoscale/{name}/idle_pod_seconds").set(total)
 
-    def idle_pod_seconds(self, function: str) -> float:
-        """Accumulated warm-but-idle pod-seconds for ``function``."""
-        return self._idle_pod_seconds.get(function, 0.0)
-
     # -- sizing -------------------------------------------------------------
-    def _decide(
-        self,
-        deployment: Deployment,
-        policy: AutoscalerPolicy,
-        keepalive: Optional["KeepAlivePolicy"],
-        now: float,
-    ) -> None:
+    def _decide(self, deployment: Deployment, policy: AutoscalerPolicy, now: float) -> None:
         self.decisions += 1
         name = deployment.spec.name
         in_flight = deployment.total_in_flight()
         reported = self.metrics.concurrency(name, now)
         load = max(in_flight, reported)
         if load > 0:
-            previous = self._last_traffic.get(deployment.cpu_tag)
-            if (
-                keepalive is not None
-                and previous is not None
-                and now - previous > policy.tick_interval
-            ):
-                # An idle gap just ended: feed it to the policy's
-                # per-function history (histogram policies learn from it).
-                keepalive.observe_gap(name, now - previous)
             self._last_traffic[deployment.cpu_tag] = now
-            self._plans.pop(name, None)
 
         minimum = deployment.spec.min_scale
         if policy.scale_to_zero:
             minimum = 0
-        if keepalive is not None:
-            minimum = max(minimum, keepalive.min_warm(name))
         desired = desired_scale_for_concurrency(
             load, policy.target_concurrency, minimum, deployment.spec.max_scale
         )
@@ -184,50 +142,11 @@ class Autoscaler:
             idle_since = self._last_traffic.get(deployment.cpu_tag)
             if idle_since is None:
                 idle_since = 0.0
-            if keepalive is not None:
-                desired = self._keepalive_desired(
-                    deployment, keepalive, idle_since, now
-                )
-            else:
-                if now - idle_since < policy.grace_period:
-                    # Still inside the grace period: hold at least one pod.
-                    desired = max(1, deployment.scale) if deployment.scale else 0
-                if deployment.scale == 0:
-                    desired = 0
+            if now - idle_since < policy.grace_period:
+                # Still inside the grace period: hold at least one pod.
+                desired = max(1, deployment.scale) if deployment.scale else 0
+            if deployment.scale == 0:
+                desired = 0
 
         if desired != deployment.scale:
             deployment.scale_to(desired)
-
-    def _keepalive_desired(
-        self,
-        deployment: Deployment,
-        keepalive: "KeepAlivePolicy",
-        idle_since: float,
-        now: float,
-    ) -> int:
-        """The policy's verdict for a function with no measured load."""
-        name = deployment.spec.name
-        cached = self._plans.get(name)
-        if cached is None or cached[0] != idle_since:
-            plan = keepalive.plan_after(name, idle_since)
-            self._plans[name] = (idle_since, plan)
-        else:
-            plan = cached[1]
-        if now <= plan.warm_until:
-            # Inside the keep-alive window: hold what exists, never
-            # resurrect a pod the policy already reaped.
-            return max(1, deployment.scale) if deployment.scale else 0
-        if (
-            plan.prewarm_at is not None
-            and plan.prewarm_until is not None
-            and plan.prewarm_at <= now <= plan.prewarm_until
-        ):
-            # Predicted next-arrival window: make sure a warm pod exists.
-            return max(1, deployment.scale)
-        return 0
-
-    def activate(self, deployment: Deployment) -> None:
-        """Activator path: a request hit a zero-scaled function (cold start)."""
-        if not deployment.live_pods():
-            deployment.scale_to(1)
-            self._last_traffic[deployment.cpu_tag] = self.node.env.now

@@ -162,7 +162,9 @@ class Deployment:
                 self._add_pod()
             self.scale_up_events += 1
         elif desired < len(live):
-            # Drain newest-first; never kill a pod mid-request if avoidable.
+            # Kill the least-busy pods first, the oldest first on ties (a
+            # stable sort over creation order), so a pod mid-request is
+            # killed only when every idle one is gone.
             victims = sorted(live, key=lambda pod: pod.in_flight)[: len(live) - desired]
             for pod in victims:
                 pod.terminate()

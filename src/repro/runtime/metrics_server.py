@@ -11,7 +11,6 @@ registry; a server built without one keeps a private registry.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,7 +44,6 @@ class MetricsServer:
         self.staleness_limit = staleness_limit
         self.registry = registry or MetricsRegistry()
         self._seen: set[str] = set()
-        self._history: dict[str, list[PodMetrics]] = defaultdict(list)
         self.reports_received = 0
 
     def report(self, sample: PodMetrics) -> None:
@@ -56,7 +54,6 @@ class MetricsServer:
         self.registry.gauge(f"{prefix}/response_time").set(sample.response_time)
         self.registry.gauge(f"{prefix}/timestamp").set(sample.timestamp)
         self._seen.add(sample.function)
-        self._history[sample.function].append(sample)
 
     def latest(self, function: str, now: Optional[float] = None) -> Optional[PodMetrics]:
         if function not in self._seen:
@@ -113,9 +110,6 @@ class MetricsServer:
             "reports_received": self.reports_received,
             "functions": rows,
         }
-
-    def history(self, function: str) -> list[PodMetrics]:
-        return list(self._history[function])
 
     def functions(self) -> list[str]:
         return sorted(self._seen)

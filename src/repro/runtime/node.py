@@ -52,7 +52,6 @@ class WorkerNode:
         self.cpu = CpuSet(
             self.env,
             cores=self.config.cores,
-            freq_hz=self.config.costs.cpu_freq_hz,
             bucket_width=self.config.cpu_bucket_width,
         )
         self.rng = RandomStreams(self.config.root_seed)
@@ -75,7 +74,6 @@ class WorkerNode:
             self.obs.enable_profiling(self.cpu.accounting)
         self.counters = self.obs.registry
         self.faults = FaultInjector(self)
-        self.devices.faults = self.faults
         # Pod instance ids are node-scoped (not module-global) so a run's
         # ids never depend on how many simulations ran earlier in the
         # process — reproducible in any test order.

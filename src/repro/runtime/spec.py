@@ -118,39 +118,3 @@ class ChainSpec:
     @property
     def function_names(self) -> list[str]:
         return [spec.name for spec in self.functions]
-
-    def next_hop(self, current: str, topic: str = DEFAULT_TOPIC) -> str:
-        """Resolve the next function (or RESPONSE) for a topic."""
-        destination = self.routes.get((current, topic))
-        if destination is None:
-            destination = self.routes.get((current, DEFAULT_TOPIC))
-        if destination is None:
-            raise KeyError(
-                f"no route from {current!r} topic {topic!r} in chain {self.name!r}"
-            )
-        return destination
-
-    @property
-    def entry_function(self) -> str:
-        head = self.routes.get((ENTRY, DEFAULT_TOPIC))
-        if head is None:
-            # Any entry route will do if the default topic has none.
-            for (source, _topic), destination in self.routes.items():
-                if source == ENTRY:
-                    return destination
-            raise KeyError(f"chain {self.name!r} has no entry route")
-        return head
-
-
-def sequential_chain(
-    name: str,
-    functions: list[FunctionSpec],
-) -> ChainSpec:
-    """Convenience: ENTRY -> fn1 -> fn2 -> ... -> RESPONSE."""
-    if not functions:
-        raise ValueError("a chain needs at least one function")
-    routes: dict[tuple[str, str], str] = {(ENTRY, DEFAULT_TOPIC): functions[0].name}
-    for previous, current in zip(functions, functions[1:]):
-        routes[(previous.name, DEFAULT_TOPIC)] = current.name
-    routes[(functions[-1].name, DEFAULT_TOPIC)] = RESPONSE
-    return ChainSpec(name=name, functions=functions, routes=routes)

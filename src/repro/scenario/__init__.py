@@ -49,7 +49,6 @@ from .run import (
     check_scenario,
     execute,
     find_scenario,
-    iter_library,
     load_document,
     load_scenario,
     run_scenario,
@@ -97,7 +96,6 @@ __all__ = [
     "derive_seed",
     "execute",
     "find_scenario",
-    "iter_library",
     "load_document",
     "load_scenario",
     "parse_json",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import sys
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable
 
 from .. import obs
 from ..mem import default_sanitize, set_default_sanitize
@@ -215,13 +215,3 @@ def write_report(
         },
     )
     return [text_path, json_path]
-
-
-def iter_library(directory: Optional[str] = None) -> list[Path]:
-    """Every scenario file in the checked-in library, sorted by name."""
-    root = Path(directory or SCENARIO_DIR)
-    if not root.is_dir():
-        return []
-    return sorted(
-        path for path in root.iterdir() if path.suffix.lower() in _EXTENSIONS
-    )

@@ -83,14 +83,6 @@ class CpuAccounting:
         """CPU usage (%) of ``tag`` during one bucket (100 == one full core)."""
         return 100.0 * self._buckets[tag].get(bucket_index, 0.0) / self.bucket_width
 
-    def series(self, tag: str, until: float) -> list[tuple[float, float]]:
-        """(bucket start time, CPU%) pairs covering [0, until)."""
-        buckets = int(math.ceil(until / self.bucket_width))
-        return [
-            (index * self.bucket_width, self.usage_percent(tag, index))
-            for index in range(buckets)
-        ]
-
     def mean_percent(self, tag: str, duration: float) -> float:
         """Average CPU% of ``tag`` over the first ``duration`` seconds."""
         if duration <= 0:
@@ -216,7 +208,6 @@ class CpuSet:
         self,
         env: "Environment",
         cores: int = 40,
-        freq_hz: float = 2.2e9,
         bucket_width: float = 1.0,
         accounting: Optional[CpuAccounting] = None,
     ) -> None:
@@ -225,17 +216,9 @@ class CpuSet:
         if cores <= 0:
             raise ValueError("need at least one core")
         self.env = env
-        self.freq_hz = freq_hz
         self.accounting = accounting if accounting is not None else CpuAccounting(bucket_width)
         self._cores = [_Core(index) for index in range(cores)]
         self._charges: dict[str, Charge] = {}
-
-    @property
-    def total_cores(self) -> int:
-        return len(self._cores)
-
-    def cycles_to_seconds(self, cycles: float) -> float:
-        return cycles / self.freq_hz
 
     def charge(self, tag: str) -> Charge:
         """The booking handle for ``tag`` on these cores (one per tag)."""
@@ -250,10 +233,3 @@ class CpuSet:
         """:meth:`Charge.book` through ``tag``'s handle, for ad-hoc callers;
         a component resolves its handle once instead."""
         return self.charge(tag).book(duration, op, detached)
-
-    def execute_cycles(
-        self, cycles: float, tag: str, op=None, detached: bool = False
-    ) -> Optional[Event]:
-        return self.execute(
-            self.cycles_to_seconds(cycles), tag, op=op, detached=detached
-        )

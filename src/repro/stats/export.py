@@ -1,16 +1,14 @@
-"""Result export: experiment outputs to JSON and CSV artifacts.
+"""Result export: experiment outputs to JSON artifacts.
 
-Experiment runners return plain data; these helpers persist them so runs
+Experiment runners return plain data; :func:`write_json` persists it so runs
 can be compared across calibrations and plotted outside the repo.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
 
 
 def _jsonable(value):
@@ -32,24 +30,4 @@ def write_json(path: str | Path, payload: object, indent: int = 2) -> Path:
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(json.dumps(_jsonable(payload), indent=indent, sort_keys=True))
-    return target
-
-
-def read_json(path: str | Path) -> object:
-    return json.loads(Path(path).read_text())
-
-
-def write_csv(
-    path: str | Path,
-    headers: Sequence[str],
-    rows: Iterable[Sequence[object]],
-) -> Path:
-    """Write a plotting-ready CSV (one table/figure series per file)."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(headers)
-        for row in rows:
-            writer.writerow(list(row))
     return target

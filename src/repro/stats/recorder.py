@@ -79,15 +79,6 @@ def summarize(samples: list[float]) -> LatencySummary:
     )
 
 
-def confidence_interval_99(samples: list[float]) -> tuple[float, float]:
-    """99% CI for the mean (normal approximation, as the paper reports)."""
-    if len(samples) < 2:
-        raise ValueError("need at least two samples")
-    summary = summarize(samples)
-    half_width = 2.576 * summary.stddev / math.sqrt(len(samples))
-    return summary.mean - half_width, summary.mean + half_width
-
-
 class LatencyRecorder:
     """Collects (completion_time, latency) samples, optionally keyed by group."""
 
@@ -138,26 +129,6 @@ class LatencyRecorder:
             for completion_time, latency in self._samples[group]
             if start <= completion_time < end
         ]
-
-    def overall_summary(self) -> LatencySummary:
-        return summarize(self.all_latencies())
-
-    def cdf(self, group: str = "", points: int = 200) -> list[tuple[float, float]]:
-        """(latency, fraction <= latency) pairs — Fig 10's left column."""
-        ordered = sorted(self.latencies(group))
-        if not ordered:
-            return []
-        step = max(1, len(ordered) // points)
-        out = []
-        for index in range(0, len(ordered), step):
-            out.append((ordered[index], (index + 1) / len(ordered)))
-        # Guarantee full coverage (the sampled stride can stop short of the
-        # last sample) without duplicating the final point when the stride
-        # already landed on it.
-        final = (ordered[-1], 1.0)
-        if out[-1] != final:
-            out.append(final)
-        return out
 
     def throughput_series(
         self, bucket: float = 1.0, group: str = "", until: Optional[float] = None

@@ -38,10 +38,5 @@ def _fmt(cell: object) -> str:
     return str(cell)
 
 
-def ms(seconds: float) -> float:
-    """Seconds -> milliseconds (presentation helper)."""
-    return seconds * 1e3
-
-
 def pct(fraction: float) -> float:
     return fraction * 100.0

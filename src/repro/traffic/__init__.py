@@ -2,12 +2,12 @@
 
 Three layers:
 
-* :mod:`~repro.traffic.arrivals` — streaming, restartable arrival processes
-  (Poisson, MMPP/bursty, diurnal, Azure-style synthetic fleet with Zipf
-  popularity and heavy-tailed inter-arrivals) on named derived RNG streams;
+* :mod:`~repro.traffic.arrivals` — lazy, restartable arrival processes
+  (MMPP/bursty, heavy-tailed, diurnally modulated, Azure-style synthetic
+  fleet with Zipf popularity) on named derived RNG streams;
 * :mod:`~repro.traffic.keepalive` — keep-alive / pre-warm policies (fixed
-  window, KPA baseline, hybrid histogram, pinned min-scale) pluggable into
-  both the fleet simulator and the DES autoscaler;
+  window, KPA baseline, hybrid histogram, pinned min-scale) evaluated by
+  the fleet simulator;
 * :mod:`~repro.traffic.economics` + :mod:`~repro.traffic.fleet` — cold-start
   economics accounting and the multiprocessing (plane x policy) cell
   runner behind ``spright-repro traffic``.
@@ -16,20 +16,14 @@ Three layers:
 from .arrivals import (
     Arrival,
     ArrivalSource,
-    DiurnalSource,
     FleetParams,
     HeavyTailSource,
     MmppSource,
     ModulatedSource,
-    PoissonSource,
     SyntheticFleet,
-    as_trace_events,
-    merge_sources,
-    trace_digest,
     zipf_weights,
 )
 from .economics import (
-    DesTrafficAccountant,
     EconomicsLedger,
     FunctionEconomics,
     SloPolicy,
@@ -60,8 +54,6 @@ __all__ = [
     "ArrivalSource",
     "CellResult",
     "CellSpec",
-    "DesTrafficAccountant",
-    "DiurnalSource",
     "EconomicsLedger",
     "FixedWindowKeepAlive",
     "FleetParams",
@@ -76,17 +68,13 @@ __all__ = [
     "POLICIES",
     "PinnedKeepAlive",
     "PlaneProfile",
-    "PoissonSource",
     "SloPolicy",
     "SyntheticFleet",
     "WarmPlan",
-    "as_trace_events",
     "build_specs",
     "make_policy",
-    "merge_sources",
     "publish_results",
     "run_cells",
     "simulate_cell",
-    "trace_digest",
     "zipf_weights",
 ]

@@ -2,9 +2,9 @@
 
 The paper's zero-scaling experiment (Fig 11) replays one hand-built motion
 trace. Reproducing that result at fleet scale needs production-shaped
-traffic: Poisson baselines, Markov-modulated bursts, diurnal cycles, and an
-Azure-Functions-style synthetic fleet with Zipf per-function popularity and
-heavy-tailed inter-arrival times (cf. "Serverless in the Wild" and "The
+traffic: an Azure-Functions-style synthetic fleet with Zipf per-function
+popularity, heavy-tailed inter-arrival times and a diurnal or
+Markov-modulated bursty envelope (cf. "Serverless in the Wild" and "The
 High Cost of Keeping Warm").
 
 Design rules:
@@ -22,11 +22,10 @@ Design rules:
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Protocol, runtime_checkable
+from typing import Callable, Iterator, Optional, Protocol, runtime_checkable
 
 from ..simcore import derive_stream_seed
 
@@ -69,28 +68,6 @@ class _SeededSource:
 
     def events(self) -> Iterator[Arrival]:  # pragma: no cover - abstract
         raise NotImplementedError
-
-
-class PoissonSource(_SeededSource):
-    """Homogeneous Poisson arrivals at ``rate`` events/second."""
-
-    def __init__(
-        self, rate: float, duration: float, fn: str = "fn", seed: int = 2022,
-        name: Optional[str] = None,
-    ) -> None:
-        if rate <= 0:
-            raise ValueError("rate must be positive")
-        super().__init__(name or f"poisson/{fn}", fn, seed, duration)
-        self.rate = rate
-
-    def events(self) -> Iterator[Arrival]:
-        rng = self._rng()
-        now = 0.0
-        while True:
-            now += rng.expovariate(self.rate)
-            if now >= self.duration:
-                return
-            yield Arrival(now, self.fn)
 
 
 class MmppSource(_SeededSource):
@@ -145,54 +122,6 @@ class MmppSource(_SeededSource):
             bursting = not bursting
             dwell = self.burst_dwell if bursting else self.calm_dwell
             state_end = now + rng.expovariate(1.0 / dwell)
-
-
-class DiurnalSource(_SeededSource):
-    """Non-homogeneous Poisson with a sinusoidal (diurnal) rate.
-
-    ``rate(t) = base_rate * (1 + amplitude * sin(2*pi*(t - phase)/period))``
-    sampled by Lewis-Shedler thinning against the peak rate, so the draw
-    sequence is independent of how the caller consumes the stream.
-    """
-
-    def __init__(
-        self,
-        base_rate: float,
-        duration: float,
-        amplitude: float = 0.8,
-        period: float = 86400.0,
-        phase: float = 0.0,
-        fn: str = "fn",
-        seed: int = 2022,
-        name: Optional[str] = None,
-    ) -> None:
-        if base_rate <= 0:
-            raise ValueError("base_rate must be positive")
-        if not 0.0 <= amplitude < 1.0:
-            raise ValueError("amplitude must be in [0, 1)")
-        if period <= 0:
-            raise ValueError("period must be positive")
-        super().__init__(name or f"diurnal/{fn}", fn, seed, duration)
-        self.base_rate = base_rate
-        self.amplitude = amplitude
-        self.period = period
-        self.phase = phase
-
-    def rate_at(self, t: float) -> float:
-        return self.base_rate * (
-            1.0 + self.amplitude * math.sin(2.0 * math.pi * (t - self.phase) / self.period)
-        )
-
-    def events(self) -> Iterator[Arrival]:
-        rng = self._rng()
-        peak = self.base_rate * (1.0 + self.amplitude)
-        now = 0.0
-        while True:
-            now += rng.expovariate(peak)
-            if now >= self.duration:
-                return
-            if rng.random() <= self.rate_at(now) / peak:
-                yield Arrival(now, self.fn)
 
 
 class HeavyTailSource(_SeededSource):
@@ -280,20 +209,6 @@ def zipf_weights(count: int, s: float = 1.1) -> list[float]:
     raw = [1.0 / (rank**s) for rank in range(1, count + 1)]
     total = sum(raw)
     return [w / total for w in raw]
-
-
-def merge_sources(sources: Iterable[ArrivalSource]) -> Iterator[Arrival]:
-    """Lazy k-way merge of time-ordered sources into one ordered stream.
-
-    Ties break by source position (stable), so the merged order is
-    deterministic. Memory is O(k), not O(events).
-    """
-    keyed = (
-        ((arrival.time, index, arrival) for arrival in source.events())
-        for index, source in enumerate(sources)
-    )
-    for _, _, arrival in heapq.merge(*keyed):
-        yield arrival
 
 
 @dataclass
@@ -404,36 +319,3 @@ class SyntheticFleet:
             seed=params.seed,
             name=f"fleet/{fn}/arrivals",
         )
-
-    def sources(self) -> list[ArrivalSource]:
-        return [self.source(index) for index in range(self.params.functions)]
-
-    def merged(self) -> Iterator[Arrival]:
-        return merge_sources(self.sources())
-
-
-def trace_digest(source: ArrivalSource, limit: Optional[int] = None) -> str:
-    """SHA-256 over the exact (time, fn) reprs — the byte-identity oracle."""
-    import hashlib
-
-    digest = hashlib.sha256()
-    for index, arrival in enumerate(source.events()):
-        if limit is not None and index >= limit:
-            break
-        digest.update(f"{arrival.time!r}:{arrival.fn}\n".encode())
-    return digest.hexdigest()
-
-
-def as_trace_events(
-    source: ArrivalSource, request_class, payload: bytes = b""
-) -> Iterator:
-    """Adapt an arrival stream to the open-loop generator's streaming path.
-
-    Yields :class:`repro.workloads.TraceEvent` lazily — the whole point of
-    the streaming protocol is that a day of fleet traffic is never held in
-    memory, so do not wrap the result in ``list`` for large sources.
-    """
-    from ..workloads.generators import TraceEvent
-
-    for arrival in source.events():
-        yield TraceEvent(time=arrival.time, request_class=request_class, payload=payload)

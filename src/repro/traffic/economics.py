@@ -5,15 +5,9 @@ argues about: cold-start counts and latency penalty, wasted warm pod-seconds
 (pods idle-but-warm), the CPU-seconds those idle pods burned (plane
 dependent — the crux of SPRIGHT's advantage), goodput, and SLO attainment.
 
-Two producers feed the same ledger type:
-
-* the lightweight fleet simulator (:mod:`repro.traffic.fleet`), per cell;
-* a DES run via :class:`DesTrafficAccountant`, which mirrors the
-  autoscaler's ``autoscale/*`` accounting into ``traffic/*`` metrics —
-  the reconciliation a test asserts to be exact.
-
-Ledgers merge associatively (the fleet runner shards cells across worker
-processes and folds the results), and publishing into a
+The lightweight fleet simulator (:mod:`repro.traffic.fleet`) fills one
+ledger per cell. Ledgers merge associatively (the fleet runner shards cells
+across worker processes and folds the results), and publishing into a
 :class:`repro.obs.MetricsRegistry` is deterministic: sorted function order,
 counters before gauges.
 """
@@ -21,7 +15,6 @@ counters before gauges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 
 @dataclass
@@ -64,7 +57,7 @@ class FunctionEconomics:
 
 @dataclass
 class EconomicsLedger:
-    """Cold-start economics for one simulation cell (or one DES run)."""
+    """Cold-start economics for one simulation cell."""
 
     slo: SloPolicy = field(default_factory=SloPolicy)
     per_fn: dict[str, FunctionEconomics] = field(default_factory=dict)
@@ -162,11 +155,10 @@ def rows_from_registry(registry, prefix: str = "traffic") -> list[dict]:
     """Reconstruct per-function economics rows from ``<prefix>/*`` metrics.
 
     The inverse of :meth:`EconomicsLedger.publish`, used by the live
-    dashboard: it reads whatever a ledger (or accountant) has published
-    into a node's registry and renders it as sorted row dicts — purely a
-    read, so it is safe inside the passive observer hook. Functions with no
-    published metrics yield no rows; the ``total`` row comes last when
-    present.
+    dashboard: it reads whatever a ledger has published into a node's
+    registry and renders it as sorted row dicts — purely a read, so it is
+    safe inside the passive observer hook. Functions with no published
+    metrics yield no rows; the ``total`` row comes last when present.
     """
     per_fn: dict[str, dict] = {}
     for name in registry.names():
@@ -190,47 +182,3 @@ def rows_from_registry(registry, prefix: str = "traffic") -> list[dict]:
             row["slo_attainment"] = slo_hits / requests
         rows.append(row)
     return rows
-
-
-class DesTrafficAccountant:
-    """Mirror a DES run's autoscaler accounting into ``traffic/*`` metrics.
-
-    The autoscaler and deployments are the source of truth for cold starts
-    (``Deployment.cold_starts``, published as ``autoscale/<fn>/cold_starts``
-    counters) and idle warm capacity (``Autoscaler.idle_pod_seconds``,
-    published as ``autoscale/<fn>/idle_pod_seconds`` gauges).
-    :meth:`publish` copies those *same numbers* into a
-    :class:`EconomicsLedger` and the ``traffic/*`` namespace, so the two
-    namespaces reconcile exactly — asserted in ``tests/test_traffic.py``.
-
-    Entirely passive: attaching one performs no RNG draws and schedules no
-    simulation events, so runs without it are byte-identical.
-    """
-
-    def __init__(
-        self,
-        node,
-        plane,
-        autoscaler=None,
-        idle_cpu_frac: float = 0.0,
-        slo: Optional[SloPolicy] = None,
-    ) -> None:
-        self.node = node
-        self.plane = plane
-        self.autoscaler = autoscaler
-        self.idle_cpu_frac = idle_cpu_frac
-        self.ledger = EconomicsLedger(slo=slo or SloPolicy())
-
-    def publish(self) -> EconomicsLedger:
-        for name in sorted(self.plane.deployments):
-            deployment = self.plane.deployments[name]
-            entry = self.ledger.fn(name)
-            entry.cold_starts += deployment.cold_starts
-            if self.autoscaler is not None:
-                self.ledger.record_warm_idle(
-                    name,
-                    self.autoscaler.idle_pod_seconds(name),
-                    self.idle_cpu_frac,
-                )
-        self.ledger.publish(self.node.obs.registry)
-        return self.ledger

@@ -4,9 +4,8 @@
 serverless overhead at fleet scale: keep pods warm too briefly and every
 burst pays a cold start; too long and the fleet burns idle CPU. This module
 gives the reproduction a policy *lab*: four policies behind one interface,
-consumable both by the lightweight fleet simulator (:mod:`repro.traffic.fleet`)
-and by the DES autoscaler (:class:`repro.runtime.Autoscaler` accepts a
-policy via ``register(..., keepalive=...)``).
+evaluated by the lightweight fleet simulator (:mod:`repro.traffic.fleet`).
+The DES autoscaler keeps its own fixed grace period (Figs 11/12).
 
 Every policy decision is appended to ``self.decisions`` and hashed by
 :meth:`KeepAlivePolicy.decision_digest`, so "same seed => byte-identical
@@ -65,7 +64,7 @@ class KeepAlivePolicy:
     def __init__(self) -> None:
         self.decisions: list[tuple] = []
 
-    # -- fleet/DES interface -------------------------------------------------
+    # -- fleet interface -----------------------------------------------------
     def min_warm(self, fn: str) -> int:
         """Pods this policy refuses to scale below (pinned warm capacity)."""
         return 0

@@ -2,7 +2,6 @@
 
 from .generators import (
     ClosedLoopGenerator,
-    NonMonotonicTraceError,
     OpenLoopGenerator,
     TraceEvent,
     WeightedMix,
@@ -13,7 +12,6 @@ from . import boutique, kvstore, motion, parking
 
 __all__ = [
     "ClosedLoopGenerator",
-    "NonMonotonicTraceError",
     "OpenLoopGenerator",
     "TraceEvent",
     "WeightedMix",

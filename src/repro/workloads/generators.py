@@ -13,7 +13,7 @@ The paper's three drivers map onto two shapes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from ..audit import Auditor
 from ..dataplane.base import Dataplane, Request, RequestClass
@@ -152,79 +152,32 @@ class TraceEvent:
     payload: bytes = b""
 
 
-class NonMonotonicTraceError(ValueError):
-    """A streaming trace yielded an event earlier than its predecessor.
-
-    Materialized traces (lists) are sorted on construction, but a streaming
-    source cannot be sorted without defeating its purpose — so out-of-order
-    timestamps are a contract violation surfaced loudly and typed, never
-    silently reordered.
-    """
-
-    def __init__(self, previous: float, current: float) -> None:
-        super().__init__(
-            f"streaming trace went backwards: {current!r} after {previous!r}"
-        )
-        self.previous = previous
-        self.current = current
-
-
 class OpenLoopGenerator:
     """Submit a timestamped trace, irrespective of in-flight requests.
 
-    ``trace`` accepts two shapes:
-
-    * a **sequence** of :class:`TraceEvent` — materialized and sorted, the
-      historical path every existing caller uses;
-    * any other **iterable/iterator** (e.g. a generator adapting a
-      :class:`repro.traffic.ArrivalSource`) — consumed lazily, one event at
-      a time, so a day of fleet traffic is never held in memory. Streaming
-      events must arrive in non-decreasing time order; a violation raises
-      :class:`NonMonotonicTraceError` at submission time.
+    The trace is sorted by time on construction.
     """
 
     def __init__(
         self,
         node: "WorkerNode",
         plane: Dataplane,
-        trace: Union[Sequence[TraceEvent], Iterable[TraceEvent]],
+        trace: Sequence[TraceEvent],
         recorder: LatencyRecorder,
     ) -> None:
         self.node = node
         self.plane = plane
-        if isinstance(trace, Sequence):
-            self.trace: Optional[list[TraceEvent]] = sorted(
-                trace, key=lambda event: event.time
-            )
-            self._stream: Optional[Iterable[TraceEvent]] = None
-        else:
-            self.trace = None
-            self._stream = trace
+        self.trace = sorted(trace, key=lambda event: event.time)
         self.recorder = recorder
         self.submitted = 0
         self.failed = 0
 
-    @property
-    def streaming(self) -> bool:
-        return self._stream is not None
-
     def start(self) -> None:
         self.node.env.process(self._run(), name="openloop", detached=True)
 
-    def _events(self) -> Iterator[TraceEvent]:
-        if self.trace is not None:
-            yield from self.trace
-            return
-        last_time: Optional[float] = None
-        for event in self._stream:
-            if last_time is not None and event.time < last_time:
-                raise NonMonotonicTraceError(last_time, event.time)
-            last_time = event.time
-            yield event
-
     def _run(self):
         env = self.node.env
-        for event in self._events():
+        for event in self.trace:
             delay = event.time - env.now
             if delay > 0:
                 yield env.timeout(delay)

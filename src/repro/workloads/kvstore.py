@@ -17,7 +17,6 @@ from typing import Optional
 # Redis-grade in-memory operation costs.
 GET_COST = 1.5e-6
 PUT_COST = 2.0e-6
-SCAN_COST_PER_KEY = 0.1e-6
 VALUE_COST_PER_BYTE = 0.002e-6
 
 
@@ -33,12 +32,6 @@ class KvStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    scans: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 class KvStore:
@@ -84,12 +77,6 @@ class KvStore:
         self.stats.deletes += 1
         existed = self._data.pop(key, None) is not None
         return existed, GET_COST
-
-    def scan_prefix(self, prefix: str, limit: int = 100) -> tuple[list[str], float]:
-        """Prefix scan; cost scales with keys examined (the expensive op)."""
-        self.stats.scans += 1
-        matches = [key for key in self._data if key.startswith(prefix)][:limit]
-        return matches, SCAN_COST_PER_KEY * len(self._data) + GET_COST
 
     def contains(self, key: str) -> tuple[bool, float]:
         value, cost = self.get(key)

@@ -105,19 +105,13 @@ def test_adapter_load_unload_at_runtime():
     assert hook.loaded() == ["http"]
     with pytest.raises(AdapterError, match="already loaded"):
         hook.load(HttpAdapter())
-    hook.unload("http")
-    assert hook.loaded() == []
-    with pytest.raises(AdapterError):
-        hook.unload("http")
 
 
 def test_mqtt_session_held_at_gateway():
     hook = make_hook()
     connack = hook.sessions.connect(ConnectPacket(client_id="sensor-1").encode())
     assert connack  # CONNACK bytes
-    assert hook.sessions.is_connected("sensor-1")
-    hook.sessions.disconnect("sensor-1")
-    assert not hook.sessions.is_connected("sensor-1")
+    assert len(hook.sessions) == 1
 
 
 def test_handle_raw_end_to_end_mqtt():
@@ -146,6 +140,31 @@ def test_handle_raw_end_to_end_mqtt():
     assert outcome["request"].response == json.dumps({"room": 4}).encode()
     assert PubackPacket.decode(outcome["ack"]).packet_id == 11
     assert plane.adapter_hook.invocations == 1
+
+
+def test_handle_raw_keeps_the_request_class_priority():
+    """The adapter's topic replaces the class's topic and nothing else."""
+    node = WorkerNode()
+    plane = SSprightDataplane(node, [FunctionSpec(name="act", service_time=1e-4)])
+    plane.deploy()
+    raw = PublishPacket(topic="lights/on", payload=b"x", qos=0).encode()
+    _, topic, _ = run_adapt(make_hook(), raw, "mqtt")
+    assert topic
+    request_class = RequestClass(
+        name="iot", sequence=["act"], payload_size=32, priority=2
+    )
+    outcome = {}
+
+    def driver(env):
+        request, _ = yield from plane.handle_raw(raw, "mqtt", request_class)
+        outcome["request"] = request
+
+    node.env.process(driver(node.env))
+    node.run(until=2.0)
+    adapted = outcome["request"].request_class
+    assert adapted.priority == 2
+    assert adapted.topic == topic
+    assert adapted.name == "iot"
 
 
 # -- XDP accelerator ----------------------------------------------------------
@@ -186,17 +205,3 @@ def test_xdp_redirect_is_cheaper_than_stack_fallback():
     node.env.process(timed("miss", "198.51.100.1")(node.env))
     node.run(until=2.0)
     assert times["hit"] < times["miss"]
-
-
-def test_tc_egress_redirect():
-    node = WorkerNode()
-    accelerator = XdpAccelerator(node)
-    node.fib.set_default(ifindex=2)
-    ops = node.ops("test")
-
-    def driver(env):
-        yield from accelerator.tc_egress(ops, 500, "10.0.9.9", None, None)
-
-    node.env.process(driver(node.env))
-    node.run(until=1.0)
-    assert accelerator.redirects == 1

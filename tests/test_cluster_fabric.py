@@ -128,11 +128,8 @@ def test_transfer_without_route_raises_typed_error():
 def test_link_spec_overrides_change_wire_time():
     slow = LinkSpec(latency=10e-3, bandwidth_bps=1e6)
     assert slow.wire_time(1000) == pytest.approx(10e-3 + 8e-3)
-    fabric = build_cluster(2)
-    fabric.set_link("worker-1", "worker-2", slow)
-    assert fabric.link_between("worker-1", "worker-2") is slow
-    # The reverse direction keeps the default.
-    assert fabric.link_between("worker-2", "worker-1") is fabric.default_link
+    fabric = build_cluster(2, link=slow)
+    assert fabric.default_link is slow
     before = fabric.env.now
     _transfer(fabric, fabric.nodes["worker-1"], fabric.nodes["worker-2"])
     assert fabric.env.now - before > 10e-3

@@ -206,7 +206,7 @@ def test_xdp_forward_passes_on_fib_miss():
 def test_tc_forward_redirects_on_fib_hit():
     vm = Vm()
     fib = FibTable()
-    fib.set_default(ifindex=9)
+    fib.add_route("172.16.0.5", ifindex=9)
     flow = FiveTuple("10.0.0.1", "172.16.0.5", 1111, 80)
     scratch = Scratch(map_registry=vm.map_registry, fib=fib, packet_flow=flow)
     result = vm.run(

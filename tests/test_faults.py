@@ -440,6 +440,35 @@ def test_armed_plan_actually_perturbs_the_run():
     assert baseline != lossy
 
 
+#: The costed legs of repro.dataplane.legs: the one place a packet is lost.
+LEG_POINTS = {"leg_external", "leg_kernel", "leg_localhost"}
+
+
+@pytest.mark.parametrize("plane", ["knative", "s-spright"])
+def test_every_injected_drop_is_counted_at_a_leg(plane):
+    """A loss-crash run drops packets only at the legs: every per-point
+    drop counter names a leg, and they add up to the drop total."""
+    from repro.experiments.boutique_exp import build_boutique
+    from repro.faults import default_resilience_for_plane
+
+    run = build_boutique(
+        plane,
+        scale=0.05,
+        duration=5.0,
+        fault_plan=NAMED_PLANS["loss-crash"](),
+        resilience=default_resilience_for_plane(plane),
+    ).finish()
+    counters = run.node.counters.as_dict()
+    prefix = "faults/injected/packet_drop/"
+    per_point = {
+        name[len(prefix):]: count
+        for name, count in counters.items()
+        if name.startswith(prefix)
+    }
+    assert set(per_point) <= LEG_POINTS
+    assert sum(per_point.values()) == counters["faults/injected/packet_drop"] > 0
+
+
 def test_map_churn_evicts_sockmap_entries_that_sproxy_re_registers():
     """``map-churn`` evicts sockmap entries, which the runtime repairs.
 

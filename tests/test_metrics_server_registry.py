@@ -45,11 +45,6 @@ def test_staleness_limit_applies_in_both_modes():
     assert server.latest("fn-a", now=10.0) is not None
 
 
-def test_history_kept_in_both_modes():
-    server = reported_server()
-    assert server.history("fn-a") == [SAMPLES[0], SAMPLES[2]]
-
-
 def test_registry_mode_exposes_autoscale_gauges():
     registry = MetricsRegistry()
     server = MetricsServer(registry=registry)

@@ -119,16 +119,6 @@ def test_record_validates_and_skips_empty():
     assert math.isnan(monitor.attainment())
 
 
-def test_record_latency_applies_threshold():
-    monitor = BurnRateMonitor(
-        SloTarget("t", objective=0.9, latency_threshold_s=0.2)
-    )
-    monitor.record_latency(1.0, 0.1)   # good
-    monitor.record_latency(1.0, 0.3)   # bad
-    assert monitor.total == 2
-    assert monitor.good == 1
-
-
 def test_samples_pruned_to_longest_window():
     monitor = _monitor(windows=((1.0, 10.0, 2.0),))
     for second in range(200):

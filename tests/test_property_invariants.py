@@ -214,33 +214,6 @@ def test_percentiles_are_monotone_and_bounded(samples):
     assert summary.minimum - tolerance <= summary.mean <= summary.maximum + tolerance
 
 
-@given(
-    samples=st.lists(
-        st.floats(min_value=0.0, max_value=1e3, allow_nan=False),
-        min_size=1,
-        max_size=500,
-    ),
-    points=st.integers(min_value=1, max_value=300),
-)
-def test_cdf_is_monotone_nondecreasing_and_covers_one(samples, points):
-    """cdf() is monotonically non-decreasing in both coordinates, ends at
-    (max, 1.0) exactly once, and never emits duplicate points."""
-    from repro.stats import LatencyRecorder
-
-    recorder = LatencyRecorder()
-    for sample in samples:
-        recorder.record(0.0, sample)
-    cdf = recorder.cdf(points=points)
-    latencies = [point[0] for point in cdf]
-    fractions = [point[1] for point in cdf]
-    assert latencies == sorted(latencies)
-    assert fractions == sorted(fractions)
-    assert fractions[-1] == 1.0
-    assert latencies[-1] == max(samples)
-    assert all(0.0 < fraction <= 1.0 for fraction in fractions)
-    assert len(cdf) == len(set(cdf))
-
-
 # -- resilience jitter determinism --------------------------------------------------
 
 @given(

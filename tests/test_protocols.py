@@ -257,36 +257,6 @@ def test_coap_long_uri_segment_uses_extended_option_length():
 
 # -- CloudEvents -----------------------------------------------------------------------
 
-def test_cloudevent_structured_roundtrip():
-    event = CloudEvent(
-        id="evt-1",
-        source="/sensors/7",
-        type="com.example.motion",
-        data=b"\x00\x01binary",
-        subject="motion",
-        extensions={"chain": "iot"},
-    )
-    decoded = CloudEvent.from_structured(event.to_structured())
-    assert decoded.id == "evt-1"
-    assert decoded.data == b"\x00\x01binary"
-    assert decoded.extensions == {"chain": "iot"}
-
-
-def test_cloudevent_binary_mode_roundtrip():
-    event = CloudEvent(id="1", source="/s", type="t", data=b"body")
-    headers, body = event.to_binary_headers()
-    decoded = CloudEvent.from_binary_headers(headers, body)
-    assert decoded.id == "1"
-    assert decoded.data == b"body"
-
-
 def test_cloudevent_missing_required_attribute():
     with pytest.raises(CloudEventError, match="required"):
         CloudEvent(id="", source="/s", type="t")
-    with pytest.raises(CloudEventError, match="missing required"):
-        CloudEvent.from_structured(b'{"specversion": "1.0", "id": "1", "source": "/s"}')
-
-
-def test_cloudevent_bad_json():
-    with pytest.raises(CloudEventError, match="not a JSON envelope"):
-        CloudEvent.from_structured(b"\xff\xfe")

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from repro.mem import PacketDescriptor
 from repro.protocols import (
-    CloudEvent,
     CoapCode,
     CoapMessage,
     HttpRequest,
@@ -126,14 +125,6 @@ def test_coap_roundtrip_property(message_id, token, segments, payload):
     assert decoded.token == token
     assert decoded.uri_path == segments
     assert decoded.payload == payload
-
-
-@given(data=st.binary(max_size=1024), subject=st.one_of(st.none(), header_token))
-def test_cloudevent_structured_roundtrip_property(data, subject):
-    event = CloudEvent(id="i", source="/s", type="t", data=data, subject=subject)
-    decoded = CloudEvent.from_structured(event.to_structured())
-    assert decoded.data == data
-    assert decoded.subject == subject
 
 
 @given(

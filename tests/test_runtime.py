@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dataplane.spright.routing import DfrRoutingTable
 from repro.kernel import NodeConfig
 from repro.runtime import (
     Autoscaler,
@@ -17,7 +18,6 @@ from repro.runtime import (
     RESPONSE,
     WorkerNode,
     desired_scale_for_concurrency,
-    sequential_chain,
 )
 
 
@@ -27,15 +27,6 @@ def make_node(**overrides):
 
 
 # -- specs ---------------------------------------------------------------------
-
-def test_sequential_chain_routes():
-    chain = sequential_chain(
-        "c", [FunctionSpec(name="a"), FunctionSpec(name="b")]
-    )
-    assert chain.entry_function == "a"
-    assert chain.next_hop("a") == "b"
-    assert chain.next_hop("b") == RESPONSE
-
 
 def test_chain_rejects_duplicate_function_names():
     with pytest.raises(ValueError, match="duplicate"):
@@ -65,8 +56,11 @@ def test_chain_topic_routing_falls_back_to_default():
             ("b", ""): RESPONSE,
         },
     )
-    assert chain.next_hop("a", "hot") == "b"
-    assert chain.next_hop("a", "cold") == RESPONSE  # falls back to default
+    table = DfrRoutingTable(make_node(), chain.name)
+    table.load_routes(chain.routes)
+    assert table.next_function(ENTRY) == "a"
+    assert table.next_function("a", "hot") == "b"
+    assert table.next_function("a", "cold") == RESPONSE  # falls back to default
 
 
 def test_function_spec_validation():
@@ -299,17 +293,6 @@ def test_autoscaler_prewarm_schedules_scale_up():
     node.run(until=4.9)
     assert deployment.scale == 0
     node.run(until=15.0)
-    assert deployment.scale == 1
-
-
-def test_activator_starts_zero_scaled_function():
-    node = make_node()
-    kubelet = Kubelet(node, cold_start_enabled=True)
-    metrics = MetricsServer()
-    autoscaler = Autoscaler(node, metrics)
-    deployment = kubelet.deployment(FunctionSpec(name="f", min_scale=0), "t/fn/f")
-    assert deployment.scale == 0
-    autoscaler.activate(deployment)
     assert deployment.scale == 1
 
 

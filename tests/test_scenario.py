@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +20,6 @@ from repro.scenario import (
     derive_seed,
     execute,
     find_scenario,
-    iter_library,
     load_scenario,
     parse_scenario_text,
     parse_yaml,
@@ -325,8 +325,16 @@ def test_find_scenario_resolves_bare_names_and_paths():
         find_scenario("no-such-scenario")
 
 
+def _library():
+    """Every scenario file in the checked-in library, sorted by name."""
+    root = Path(__file__).resolve().parent.parent / "scenarios"
+    return sorted(
+        path for path in root.iterdir() if path.suffix in (".json", ".yaml", ".yml")
+    )
+
+
 def test_checked_in_library_is_valid_and_covers_both_formats():
-    library = iter_library()
+    library = _library()
     assert len(library) >= 6
     suffixes = {path.suffix for path in library}
     assert ".json" in suffixes and ".yaml" in suffixes
@@ -339,7 +347,7 @@ def test_checked_in_library_is_valid_and_covers_both_formats():
 
 
 def test_library_covers_required_experiment_families():
-    families = {load_scenario(str(p)).experiment for p in iter_library()}
+    families = {load_scenario(str(p)).experiment for p in _library()}
     assert {"boutique", "faults", "recovery", "traffic", "cluster", "cloning"} <= families
 
 

@@ -40,7 +40,9 @@ def test_detached_charge_books_like_an_awaited_one():
     assert len(after_a) == len(before_a) + 1
     assert dict(cpu_d.accounting.total_busy) == dict(cpu_a.accounting.total_busy)
     for tag in ("bg", "fg"):
-        assert cpu_d.accounting.series(tag, 1.0) == cpu_a.accounting.series(tag, 1.0)
+        for bucket in (0, 1):
+            usage_d = cpu_d.accounting.usage_percent(tag, bucket)
+            assert usage_d == cpu_a.accounting.usage_percent(tag, bucket)
     assert cpu_d._cores[0].next_free == cpu_a._cores[0].next_free == pytest.approx(0.8)
     # The awaited charge queued behind the detached one either way.
     assert env_d.now == env_a.now == pytest.approx(0.8)
@@ -50,7 +52,6 @@ def test_zero_detached_charge_is_a_no_op():
     env = Environment()
     cpu = CpuSet(env, cores=2)
     assert cpu.execute(0.0, "bg", detached=True) is None
-    assert cpu.execute_cycles(0, "bg", detached=True) is None
     assert env._queue == []
     assert dict(cpu.accounting.total_busy) == {}
     assert [core.next_free for core in cpu._cores] == [0.0, 0.0]

@@ -418,12 +418,6 @@ def test_cpu_bucket_splitting_across_boundaries():
     assert cpu.accounting.usage_percent("fn", 1) == pytest.approx(40.0)
 
 
-def test_cycles_conversion():
-    env = Environment()
-    cpu = CpuSet(env, cores=1, freq_hz=2.2e9)
-    assert cpu.cycles_to_seconds(2.2e9) == pytest.approx(1.0)
-
-
 def test_random_streams_are_independent_and_reproducible():
     streams_one = RandomStreams(root_seed=7)
     streams_two = RandomStreams(root_seed=7)

@@ -6,10 +6,8 @@ The load-bearing properties:
   (hypothesis, across seeds and source kinds);
 * the multiprocessing fleet runner's merged output is identical to the
   serial run (the CI ``traffic-smoke`` job re-asserts this end to end);
-* a DES run's ``traffic/*`` economics reconcile *exactly* with the
-  autoscaler's ``autoscale/*`` counters and gauges;
-* attaching the accountant changes nothing about the run itself
-  (byte-identity of the latency samples);
+* a DES run's ``autoscale/*`` cold-start counters reconcile *exactly* with
+  its deployments and its plane's own cold-start counter;
 * the §4.2.2 acceptance story: S-SPRIGHT keeps pods warm for free while
   Knative pays in cold starts or idle sidecar CPU.
 """
@@ -27,8 +25,6 @@ from repro.stats import LatencyRecorder
 from repro.traffic import (
     PLANE_PROFILES,
     CellSpec,
-    DesTrafficAccountant,
-    DiurnalSource,
     EconomicsLedger,
     FixedWindowKeepAlive,
     FleetParams,
@@ -36,20 +32,17 @@ from repro.traffic import (
     HistogramKeepAlive,
     KpaKeepAlive,
     MmppSource,
+    ModulatedSource,
     PinnedKeepAlive,
-    PoissonSource,
     SloPolicy,
     SyntheticFleet,
-    as_trace_events,
     build_specs,
     make_policy,
-    merge_sources,
     run_cells,
     simulate_cell,
-    trace_digest,
     zipf_weights,
 )
-from repro.workloads import NonMonotonicTraceError, OpenLoopGenerator, TraceEvent
+from repro.workloads import OpenLoopGenerator, TraceEvent
 from repro.workloads.motion import (
     MotionTraceParams,
     motion_functions,
@@ -62,12 +55,17 @@ from repro.workloads.motion import (
 
 
 def _sources(seed: int):
+    heavy = HeavyTailSource(mean_gap=3.0, duration=1800.0, seed=seed)
     return [
-        PoissonSource(rate=0.5, duration=1800.0, seed=seed),
         MmppSource(low_rate=0.1, high_rate=4.0, duration=1800.0, seed=seed),
-        DiurnalSource(base_rate=0.5, duration=1800.0, seed=seed),
-        HeavyTailSource(mean_gap=3.0, duration=1800.0, seed=seed),
+        heavy,
+        ModulatedSource(heavy, lambda t: 0.5 + t / 3600.0, seed=seed),
     ]
+
+
+def _trace(source):
+    """The exact (time, fn) reprs of a source's arrivals."""
+    return [(repr(arrival.time), arrival.fn) for arrival in source.events()]
 
 
 @settings(max_examples=20, deadline=None)
@@ -75,17 +73,17 @@ def _sources(seed: int):
 def test_sources_byte_identical_for_same_seed(seed):
     """Same seed => byte-identical trace, across repeats and fresh objects."""
     for first, second in zip(_sources(seed), _sources(seed)):
-        digest = trace_digest(first)
-        assert digest == trace_digest(first)  # restartable iteration
-        assert digest == trace_digest(second)  # fresh instance
+        trace = _trace(first)
+        assert trace == _trace(first)  # restartable iteration
+        assert trace == _trace(second)  # fresh instance
 
 
 def test_sources_diverge_across_seeds_and_names():
-    base = PoissonSource(rate=1.0, duration=600.0, seed=1)
-    other_seed = PoissonSource(rate=1.0, duration=600.0, seed=2)
-    other_name = PoissonSource(rate=1.0, duration=600.0, seed=1, name="other")
-    assert trace_digest(base) != trace_digest(other_seed)
-    assert trace_digest(base) != trace_digest(other_name)
+    base = HeavyTailSource(mean_gap=1.0, duration=600.0, seed=1)
+    other_seed = HeavyTailSource(mean_gap=1.0, duration=600.0, seed=2)
+    other_name = HeavyTailSource(mean_gap=1.0, duration=600.0, seed=1, name="other")
+    assert _trace(base) != _trace(other_seed)
+    assert _trace(base) != _trace(other_name)
 
 
 def test_sources_monotone_and_bounded():
@@ -95,13 +93,6 @@ def test_sources_monotone_and_bounded():
             assert arrival.time >= last
             assert 0.0 <= arrival.time <= 1800.0
             last = arrival.time
-
-
-def test_merge_sources_is_globally_sorted():
-    sources = _sources(11)
-    merged = list(merge_sources(sources))
-    assert len(merged) == sum(1 for s in sources for _ in s.events())
-    assert all(a.time <= b.time for a, b in zip(merged, merged[1:]))
 
 
 def test_zipf_weights_normalized_and_skewed():
@@ -120,10 +111,11 @@ def test_fleet_trace_deterministic(seed, pattern):
     params = FleetParams(
         functions=4, duration=3600.0, total_rate=0.3, seed=seed, pattern=pattern
     )
-    first = [(a.time, a.fn) for a in SyntheticFleet(params).merged()]
-    second = [(a.time, a.fn) for a in SyntheticFleet(params).merged()]
-    assert first == second
-    assert all(t0 <= t1 for (t0, _), (t1, _) in zip(first, first[1:]))
+    for index in range(params.functions):
+        first = _trace(SyntheticFleet(params).source(index))
+        assert first == _trace(SyntheticFleet(params).source(index))
+        times = [float(t) for t, _ in first]
+        assert times == sorted(times)
 
 
 def test_fleet_params_validation():
@@ -335,8 +327,8 @@ def test_ledger_merge_matches_single_ledger():
 # --- DES integration ---------------------------------------------------------
 
 
-def _motion_des(duration=400.0, seed=2022, attach_accountant=False):
-    """A Fig-11-style Knative run with scale-to-zero, optionally accounted."""
+def _motion_des(duration=400.0, seed=2022):
+    """A Fig-11-style Knative run with scale-to-zero."""
     node = make_node(seed=seed)
     functions = motion_functions(min_scale=0)
     kubelet = Kubelet(node, cold_start_enabled=True, termination_lag=30.0)
@@ -350,106 +342,37 @@ def _motion_des(duration=400.0, seed=2022, attach_accountant=False):
             deployment, AutoscalerPolicy(scale_to_zero=True, grace_period=30.0)
         )
     autoscaler.start()
-    accountant = None
-    if attach_accountant:
-        accountant = DesTrafficAccountant(
-            node, plane, autoscaler=autoscaler, idle_cpu_frac=0.05
-        )
     recorder = LatencyRecorder()
     trace = synthesize_motion_trace(node, MotionTraceParams(duration=duration))
     generator = OpenLoopGenerator(node, plane, trace, recorder)
     generator.start()
     node.run(until=duration)
-    return node, plane, autoscaler, accountant, recorder
+    return node, plane
 
 
 def test_des_traffic_reconciles_with_autoscale_metrics():
-    node, plane, autoscaler, accountant, _ = _motion_des(attach_accountant=True)
-    ledger = accountant.publish()
+    node, plane = _motion_des()
     registry = node.obs.registry
     total_cold = 0
     for name, deployment in plane.deployments.items():
         autoscale_cold = registry.counter(f"autoscale/{name}/cold_starts").value
         assert autoscale_cold == deployment.cold_starts
-        assert registry.counter(f"traffic/{name}/cold_starts").value == autoscale_cold
-        idle = autoscaler.idle_pod_seconds(name)
-        assert registry.gauge(f"traffic/{name}/wasted_warm_pod_s").value == idle
-        assert (
-            registry.gauge(f"traffic/{name}/wasted_warm_cpu_s").value == idle * 0.05
-        )
-        if idle:
-            assert (
-                registry.gauge(f"autoscale/{name}/idle_pod_seconds").value == idle
-            )
         total_cold += autoscale_cold
     # The per-function control-plane counters add up to the dataplane's own
     # cold-start total: one scale-from-zero wait == one counted cold start.
-    assert registry.sum_counters("autoscale", "cold_starts") == total_cold
-    # traffic/* carries both the per-fn counters and the total/ rollup.
-    assert registry.sum_counters("traffic", "cold_starts") == total_cold * 2
     assert total_cold == node.counters.get(f"{plane.plane}/cold_starts")
     assert total_cold > 0  # the motion trace's idle gaps do trigger them
-    assert ledger.total().cold_starts == total_cold
-
-
-def test_accountant_is_inert():
-    """Attaching the accountant must not perturb the run (byte-identity)."""
-    _, _, _, _, plain = _motion_des(attach_accountant=False)
-    _, _, _, _, accounted = _motion_des(attach_accountant=True)
-    assert plain._samples[""] == accounted._samples[""]
-
-
-def test_autoscaler_keepalive_pins_warm_pods():
-    """A pinned policy holds a floor even with scale_to_zero enabled."""
-    node = make_node(seed=5)
-    functions = motion_functions(min_scale=0)
-    kubelet = Kubelet(node, cold_start_enabled=True, termination_lag=0.0)
-    metrics = MetricsServer(registry=node.obs.registry)
-    plane = build_plane(
-        "knative", node, functions, kubelet=kubelet, metrics_server=metrics
+    # Idle warm capacity is integrated on the tick grid as gauges.
+    assert any(
+        registry.gauge(f"autoscale/{name}/idle_pod_seconds").value > 0
+        for name in plane.deployments
     )
-    autoscaler = Autoscaler(node, metrics)
-    for deployment in plane.deployments.values():
-        autoscaler.register(
-            deployment,
-            AutoscalerPolicy(scale_to_zero=True, grace_period=5.0),
-            keepalive=PinnedKeepAlive(min_scale=1),
-        )
-    autoscaler.start()
-    node.run(until=300.0)  # no traffic at all
-    for name, deployment in plane.deployments.items():
-        assert deployment.scale >= 1, name
-        assert deployment.cold_starts == 0
-        assert autoscaler.idle_pod_seconds(name) > 0
 
 
-def test_autoscaler_fixed_keepalive_reaps_after_window():
-    """A fixed-window policy keeps pods warm, then lets them go."""
-    node = make_node(seed=6)
-    functions = motion_functions(min_scale=1)
-    kubelet = Kubelet(node, cold_start_enabled=False, termination_lag=0.0)
-    metrics = MetricsServer(registry=node.obs.registry)
-    plane = build_plane(
-        "knative", node, functions, kubelet=kubelet, metrics_server=metrics
-    )
-    autoscaler = Autoscaler(node, metrics)
-    for deployment in plane.deployments.values():
-        autoscaler.register(
-            deployment,
-            AutoscalerPolicy(scale_to_zero=True),
-            keepalive=FixedWindowKeepAlive(window=60.0),
-        )
-    autoscaler.start()
-    node.run(until=30.0)
-    assert all(d.scale >= 1 for d in plane.deployments.values())  # inside window
-    node.run(until=200.0)
-    assert all(d.scale == 0 for d in plane.deployments.values())  # reaped after
+# --- open loop ---------------------------------------------------------------
 
 
-# --- streaming open loop -----------------------------------------------------
-
-
-def _streaming_setup(seed=2022):
+def _open_loop_setup(seed=2022):
     node = make_node(seed=seed)
     functions = motion_functions(min_scale=1)
     kubelet = Kubelet(node, cold_start_enabled=False, termination_lag=0.0)
@@ -460,63 +383,17 @@ def _streaming_setup(seed=2022):
     return node, plane
 
 
-def test_open_loop_streams_arrival_source():
-    node, plane = _streaming_setup()
-    source = PoissonSource(rate=2.0, duration=30.0, seed=4)
-    expected = sum(1 for _ in source.events())
-    recorder = LatencyRecorder()
-    generator = OpenLoopGenerator(
-        node, plane, as_trace_events(source, motion_request_class()), recorder
-    )
-    assert generator.streaming and generator.trace is None
-    generator.start()
-    node.run(until=60.0)
-    assert generator.submitted == expected > 0
-    assert recorder.summary("").count == expected
-
-
 def test_open_loop_list_path_unchanged():
-    node, plane = _streaming_setup()
+    node, plane = _open_loop_setup()
     events = [
         TraceEvent(time=t, request_class=motion_request_class())
         for t in (2.0, 0.5, 1.0)  # deliberately unsorted: lists get sorted
     ]
     generator = OpenLoopGenerator(node, plane, events, recorder=LatencyRecorder())
-    assert not generator.streaming
     assert [event.time for event in generator.trace] == [0.5, 1.0, 2.0]
     generator.start()
     node.run(until=10.0)
     assert generator.submitted == 3
-
-
-def test_open_loop_rejects_non_monotonic_stream():
-    node, plane = _streaming_setup()
-
-    def backwards():
-        yield TraceEvent(time=1.0, request_class=motion_request_class())
-        yield TraceEvent(time=0.5, request_class=motion_request_class())
-
-    generator = OpenLoopGenerator(node, plane, backwards(), recorder=LatencyRecorder())
-    generator.start()
-    with pytest.raises(NonMonotonicTraceError) as exc:
-        node.run(until=10.0)
-    assert exc.value.previous == 1.0
-    assert exc.value.current == 0.5
-
-
-def test_as_trace_events_is_lazy_and_ordered():
-    source = DiurnalSource(base_rate=0.2, duration=600.0, seed=8)
-
-    class Marker:
-        pass
-
-    events = as_trace_events(source, Marker())
-    import types
-
-    assert isinstance(events, types.GeneratorType)
-    times = [event.time for event in events]
-    assert times == sorted(times)
-    assert times == [a.time for a in source.events()]
 
 
 # --- plane profiles ----------------------------------------------------------

@@ -270,43 +270,3 @@ def test_weighted_mix_rejects_zero_total_weight():
         WeightedMix([zero, zero])
     with pytest.raises(ValueError):
         WeightedMix([])
-
-
-def test_open_loop_accepts_streaming_iterator():
-    from repro.dataplane import SSprightDataplane
-    from repro.runtime import FunctionSpec
-    from repro.stats import LatencyRecorder
-    from repro.dataplane.base import RequestClass
-
-    node = WorkerNode()
-    plane = SSprightDataplane(node, [FunctionSpec(name="f", service_time=1e-5)])
-    plane.deploy()
-    cls = RequestClass(name="t", sequence=["f"], payload_size=16)
-    stream = (TraceEvent(time=0.1 * i, request_class=cls) for i in range(25))
-    generator = OpenLoopGenerator(node, plane, stream, LatencyRecorder())
-    assert generator.streaming
-    generator.start()
-    node.run(until=10.0)
-    assert generator.submitted == 25
-
-
-def test_open_loop_streaming_rejects_time_travel():
-    from repro.dataplane import SSprightDataplane
-    from repro.runtime import FunctionSpec
-    from repro.stats import LatencyRecorder
-    from repro.dataplane.base import RequestClass
-    from repro.workloads import NonMonotonicTraceError
-
-    node = WorkerNode()
-    plane = SSprightDataplane(node, [FunctionSpec(name="f", service_time=1e-5)])
-    plane.deploy()
-    cls = RequestClass(name="t", sequence=["f"], payload_size=16)
-
-    def stream():
-        yield TraceEvent(time=5.0, request_class=cls)
-        yield TraceEvent(time=4.0, request_class=cls)
-
-    generator = OpenLoopGenerator(node, plane, stream(), LatencyRecorder())
-    generator.start()
-    with pytest.raises(NonMonotonicTraceError):
-        node.run(until=10.0)
